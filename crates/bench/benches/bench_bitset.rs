@@ -36,9 +36,6 @@ fn bench_bitset(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("is_subset", cap), &sub, |bch, s| {
             bch.iter(|| black_box(s).is_subset(black_box(&a)))
         });
-        group.bench_with_input(BenchmarkId::new("is_subset_masked", cap), &sub, |bch, s| {
-            bch.iter(|| black_box(s).is_subset_masked(black_box(&a), black_box(&m)))
-        });
         group.bench_with_input(BenchmarkId::new("intersection_count", cap), &a, |bch, a| {
             bch.iter(|| black_box(a).intersection_count(black_box(&b)))
         });

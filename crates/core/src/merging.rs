@@ -388,6 +388,11 @@ pub fn enumerate_with(
         };
     }
     let sweep_parts = exec.threads() * 8;
+    // Contiguous chunks over `0..n`: `sweep_parts` of them, but none
+    // shorter than MIN_CHUNK items (~40 µs of checks), so a small level
+    // is one chunk and runs inline instead of paying for workers.
+    const MIN_CHUNK: usize = 512;
+    let sweep_chunks = |n: usize| chunk_ranges(n, sweep_parts.min(n.div_ceil(MIN_CHUNK)));
 
     // Per-arc bandwidths and the library's best link rate, hoisted out
     // of the Theorem 3.2 check (same values, same summation order as
@@ -408,7 +413,7 @@ pub fn enumerate_with(
     // Hoisted ledger check: sweeps build no event when provenance
     // recording is off (the default).
     let ledger_on = ledger::enabled();
-    let chunks = chunk_ranges(pair_count(n), sweep_parts);
+    let chunks = sweep_chunks(pair_count(n));
     let (parts, sweep_stats) = exec.par_map_stats(&chunks, |_, &(s, e)| {
         let mut ls = LevelStats {
             k: 2,
@@ -527,7 +532,7 @@ pub fn enumerate_with(
                 // chunk — chunked over the previous level's arena,
                 // flattened back in input order.
                 let prev_count = prev_flat.len() / prev_k;
-                let chunks = chunk_ranges(prev_count, sweep_parts);
+                let chunks = sweep_chunks(prev_count);
                 let (parts, sweep_stats) = exec.par_map_stats(&chunks, |_, &(s, e)| {
                     let mut ext: Vec<u32> = Vec::new();
                     let mut scratch = masks.scratch();
@@ -562,7 +567,7 @@ pub fn enumerate_with(
         if n_candidates > config.max_subsets_per_level {
             truncated = true;
         }
-        let chunks = chunk_ranges(examined_cap, sweep_parts);
+        let chunks = sweep_chunks(examined_cap);
         let (parts, sweep_stats) = exec.par_map_stats(&chunks, |_, &(s, e)| {
             let mut ls = LevelStats {
                 k,

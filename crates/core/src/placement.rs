@@ -494,6 +494,8 @@ pub fn merge_candidate_explained(
         if ccs_obs::enabled() {
             ccs_obs::counter("placement.twohub_solves", 1);
             ccs_obs::counter("placement.twohub_iterations", sol.iterations as u64);
+            ccs_obs::counter("placement.solver_steps", sol.iterations as u64);
+            ccs_obs::counter("placement.capped_solves", sol.capped as u64);
             ccs_obs::gauge("placement.twohub_residual", sol.residual);
         }
         match build_merge(
@@ -521,8 +523,13 @@ pub fn merge_candidate_explained(
     // it; a co-located mux/demux pair is the fallback when the switch is
     // absent or pricier.
     let star_anchors: Vec<(Point2, f64)> = sources.iter().chain(&sinks).copied().collect();
-    let star_hub = WeberProblem::new(star_anchors).solve(graph.norm());
-    ccs_obs::counter("placement.weber_solves", 1);
+    let star_sol = WeberProblem::new(star_anchors).solve_detailed(graph.norm());
+    let star_hub = star_sol.hub;
+    if ccs_obs::enabled() {
+        ccs_obs::counter("placement.weber_solves", 1);
+        ccs_obs::counter("placement.solver_steps", star_sol.iterations as u64);
+        ccs_obs::counter("placement.capped_solves", star_sol.capped as u64);
+    }
     let star_hardware = match (switch_cost, muxdemux_cost) {
         (Some(s), Some(md)) if s <= md => Some((HubHardware::SingleSwitch, s)),
         (Some(s), None) => Some((HubHardware::SingleSwitch, s)),

@@ -57,7 +57,8 @@ pub struct SynthesisConfig {
     /// thread count.
     pub threads: usize,
     /// Cooperative cancellation: the pipeline polls this token at phase
-    /// boundaries and per sweep item and aborts with
+    /// boundaries, per sweep item and per covering search node, and
+    /// aborts with
     /// [`SynthesisError::Cancelled`] once it is cancelled. The default
     /// token is never cancelled.
     pub cancel: CancelToken,
@@ -303,7 +304,7 @@ impl<'a> Synthesizer<'a> {
         let mut cpu = PhaseCpuTimings::default();
         let graph = self.graph;
         let library = self.library;
-        let exec = Executor::new(self.config.threads);
+        let exec = Executor::new(self.config.threads).with_cancel(self.config.cancel.clone());
         let threads = exec.threads();
         let cancel = &self.config.cancel;
         if cancel.is_cancelled() {
@@ -402,7 +403,7 @@ impl<'a> Synthesizer<'a> {
         // Weber/two-hub iteration is skipped outright. The decision is a
         // pure function of the subset, so it is thread-count invariant.
         enum Placed {
-            Gated { lb: f64, member_sum: f64 },
+            Gated { lb: f64 },
             Done(Result<Candidate, InfeasibleReason>),
             Reused(Verdict),
         }
@@ -413,19 +414,15 @@ impl<'a> Synthesizer<'a> {
                 if cancel.is_cancelled() {
                     return Err(SynthesisError::Cancelled);
                 }
-                if let Some(m) = verdicts {
-                    let key: Vec<u32> = s.iter().map(|&i| i as u32).collect();
-                    if let Some(v) = m.get(&key[..]) {
-                        return Ok(Placed::Reused(v.clone()));
-                    }
+                if let Some(v) = verdicts.and_then(|m| m.get(&SubsetKey::new(s))) {
+                    return Ok(Placed::Reused(v.clone()));
                 }
                 if lb_gate {
                     // One profiler call per subset, independent of chunking.
                     let _profile = ccs_obs::profile::scope("lb_gate");
                     let lb = merge_cost_lower_bound(graph, library, s, cache);
-                    let member_sum: f64 = s.iter().map(|&i| candidates[i].cost).sum();
-                    if lb >= member_sum * (1.0 - 1e-6) - 1e-12 {
-                        return Ok(Placed::Gated { lb, member_sum });
+                    if lb >= member_sum(&candidates, s) * (1.0 - 1e-6) - 1e-12 {
+                        return Ok(Placed::Gated { lb });
                     }
                 }
                 merge_candidate_explained(graph, library, s, cache).map(Placed::Done)
@@ -442,22 +439,17 @@ impl<'a> Synthesizer<'a> {
             // the counting and candidate-push order below is literally
             // the same code on both paths.
             let (verdict, reused) = match r? {
-                Placed::Gated { lb, member_sum } => (Verdict::Gated { lb, member_sum }, false),
+                Placed::Gated { lb } => (Verdict::Gated { lb }, false),
                 Placed::Done(Err(reason)) => (Verdict::Infeasible(reason), false),
                 Placed::Done(Ok(c)) => {
                     // Hub placement converges to ~1e-9; savings below a
                     // relative 1e-6 are numerical noise, not real wins.
-                    let member_sum: f64 = subset.iter().map(|&i| candidates[i].cost).sum();
-                    if !self.config.keep_dominated && c.cost >= member_sum * (1.0 - 1e-6) - 1e-12 {
-                        (
-                            Verdict::Dominated {
-                                cost: c.cost,
-                                member_sum,
-                            },
-                            false,
-                        )
+                    if !self.config.keep_dominated
+                        && c.cost >= member_sum(&candidates, subset) * (1.0 - 1e-6) - 1e-12
+                    {
+                        (Verdict::Dominated { cost: c.cost }, false)
                     } else {
-                        (Verdict::Kept(c), false)
+                        (Verdict::Kept(Box::new(c)), false)
                     }
                 }
                 Placed::Reused(v) => (v, true),
@@ -465,12 +457,11 @@ impl<'a> Synthesizer<'a> {
             verdicts_reused += u64::from(reused);
             if warm && !reused {
                 if let Some(s) = session.as_deref_mut() {
-                    s.verdicts
-                        .insert(subset_arcs(subset).into_boxed_slice(), verdict.clone());
+                    s.verdicts.insert(SubsetKey::new(subset), verdict.clone());
                 }
             }
             match verdict {
-                Verdict::Gated { lb, member_sum } => {
+                Verdict::Gated { lb } => {
                     lb_gated += 1;
                     if ledger_on {
                         let cause = if reused {
@@ -482,7 +473,7 @@ impl<'a> Synthesizer<'a> {
                             cause,
                             subset_arcs(subset),
                             lb,
-                            member_sum,
+                            member_sum(&candidates, subset),
                             format!("k={}", subset.len()),
                         ));
                     }
@@ -504,7 +495,7 @@ impl<'a> Synthesizer<'a> {
                         ));
                     }
                 }
-                Verdict::Dominated { cost, member_sum } => {
+                Verdict::Dominated { cost } => {
                     dominated += 1;
                     if ledger_on {
                         let cause = if reused {
@@ -516,7 +507,7 @@ impl<'a> Synthesizer<'a> {
                             cause,
                             subset_arcs(subset),
                             cost,
-                            member_sum,
+                            member_sum(&candidates, subset),
                             format!("k={}", subset.len()),
                         ));
                     }
@@ -531,16 +522,15 @@ impl<'a> Synthesizer<'a> {
                         } else {
                             Cause::PlacementKept
                         };
-                        let member_sum: f64 = subset.iter().map(|&i| candidates[i].cost).sum();
                         ledger::emit(DecisionEvent::new(
                             cause,
                             subset_arcs(subset),
                             c.cost,
-                            member_sum,
+                            member_sum(&candidates, subset),
                             format!("k={},index={}", subset.len(), candidates.len()),
                         ));
                     }
-                    candidates.push(c);
+                    candidates.push(*c);
                 }
             }
         }
@@ -607,6 +597,12 @@ impl<'a> Synthesizer<'a> {
         drop(profile_phase);
         phase_alloc_counters("covering", &alloc0);
         timings.covering = t.elapsed();
+
+        // The covering search stops early once cancelled; its cover is
+        // then not proven optimal, so it must not be assembled.
+        if cancel.is_cancelled() {
+            return Err(SynthesisError::Cancelled);
+        }
 
         // Assemble the architecture.
         let t = Instant::now();
@@ -738,6 +734,13 @@ pub enum Edit {
     SetLibrary(Library),
 }
 
+/// The members' p2p cost sum — a merge subset's dominance threshold. A
+/// reused verdict recomputes it bit-identically: its members are clean
+/// arcs, whose p2p candidates are the cached ones.
+fn member_sum(candidates: &[Candidate], subset: &[usize]) -> f64 {
+    subset.iter().map(|&i| candidates[i].cost).sum()
+}
+
 /// A cached placement outcome for one merge subset: the classification
 /// the serial accounting fold would reach, plus the data its ledger
 /// event and counters need. Pure function of the member arcs and the
@@ -745,13 +748,61 @@ pub enum Edit {
 #[derive(Debug, Clone)]
 enum Verdict {
     /// Skipped by the lower-bound gate.
-    Gated { lb: f64, member_sum: f64 },
+    Gated { lb: f64 },
     /// Structurally infeasible with this library.
     Infeasible(InfeasibleReason),
     /// Solved, but never cheaper than its members' p2p sum.
-    Dominated { cost: f64, member_sum: f64 },
-    /// Solved and kept as a covering column.
-    Kept(Candidate),
+    Dominated { cost: f64 },
+    /// Solved and kept as a covering column (boxed: the other verdicts
+    /// are a few words, and most cached subsets are not kept).
+    Kept(Box<Candidate>),
+}
+
+/// Members stored inline in a [`SubsetKey`].
+const INLINE_ARCS: usize = 7;
+
+/// A merge subset's sorted member arcs — the key of a session's
+/// verdict cache. Up to [`INLINE_ARCS`] members below 2¹⁶ are stored
+/// inline as `u16` (16 bytes in all), so a lookup allocates nothing and
+/// a typical entry owns no heap block; other subsets spill to the heap.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum SubsetKey {
+    Inline(u8, [u16; INLINE_ARCS]),
+    // Boxed so the spilled variant is a thin pointer and the key stays
+    // 16 bytes.
+    #[allow(clippy::box_collection)]
+    Heap(Box<Vec<u32>>),
+}
+
+impl SubsetKey {
+    fn new(subset: &[usize]) -> SubsetKey {
+        let mut arcs = [0; INLINE_ARCS];
+        if subset.len() <= INLINE_ARCS && subset.iter().all(|&a| a <= usize::from(u16::MAX)) {
+            for (slot, &a) in arcs.iter_mut().zip(subset) {
+                *slot = a as u16;
+            }
+            SubsetKey::Inline(subset.len() as u8, arcs)
+        } else {
+            SubsetKey::Heap(Box::new(subset.iter().map(|&a| a as u32).collect()))
+        }
+    }
+
+    fn arcs(&self) -> Vec<u32> {
+        match self {
+            SubsetKey::Inline(n, arcs) => arcs[..usize::from(*n)]
+                .iter()
+                .map(|&a| u32::from(a))
+                .collect(),
+            SubsetKey::Heap(arcs) => arcs.to_vec(),
+        }
+    }
+
+    fn contains_any(&self, arcs: &[bool]) -> bool {
+        match self {
+            SubsetKey::Inline(n, a) => a[..usize::from(*n)].iter().any(|&i| arcs[usize::from(i)]),
+            SubsetKey::Heap(a) => a.iter().any(|&i| arcs[i as usize]),
+        }
+    }
 }
 
 /// Persistent warm-start state of a [`SynthesisSession`], keyed by
@@ -763,7 +814,7 @@ struct SessionState {
     /// arc awaiting recompute.
     p2p: Vec<Option<Candidate>>,
     /// Cached placement verdict per surviving merge subset.
-    verdicts: HashMap<Box<[u32]>, Verdict>,
+    verdicts: HashMap<SubsetKey, Verdict>,
     /// Arc lists of the previous cover — the seed for the next exact
     /// solve. Kept even across edits: the solver re-validates the seed
     /// against the new matrix and ignores it when it no longer covers.
@@ -992,7 +1043,7 @@ impl SynthesisSession {
                 if ledger_on {
                     ledger::emit(DecisionEvent::new(
                         Cause::ResynthInvalidated,
-                        key.to_vec(),
+                        key.arcs(),
                         0.0,
                         0.0,
                         "merge,library".to_string(),
@@ -1023,13 +1074,13 @@ impl SynthesisSession {
                 }
             }
             self.state.verdicts.retain(|key, _| {
-                let hit = key.iter().any(|&a| dirty[a as usize]);
+                let hit = key.contains_any(&dirty);
                 if hit {
                     invalidated += 1;
                     if ledger_on {
                         ledger::emit(DecisionEvent::new(
                             Cause::ResynthInvalidated,
-                            key.to_vec(),
+                            key.arcs(),
                             0.0,
                             0.0,
                             "merge,edit".to_string(),
@@ -1038,6 +1089,12 @@ impl SynthesisSession {
                 }
                 !hit
             });
+        }
+        // A long-lived session must not keep the table its largest
+        // instance once needed (a redraw invalidates every verdict).
+        let verdicts = &mut self.state.verdicts;
+        if verdicts.capacity() > 4 * verdicts.len().max(16) {
+            verdicts.shrink_to_fit();
         }
 
         if ccs_obs::enabled() {

@@ -113,35 +113,6 @@ impl BitSet {
             .all(|(x, y)| x & !y == 0)
     }
 
-    /// `(self ∩ mask) ⊆ other` without materializing the intersection —
-    /// the masked-subset test of covering column dominance, which would
-    /// otherwise clone and intersect a temporary per comparison.
-    pub fn is_subset_masked(&self, other: &BitSet, mask: &BitSet) -> bool {
-        let n = self
-            .words
-            .len()
-            .min(other.words.len())
-            .min(mask.words.len());
-        let (a, b, m) = (&self.words[..n], &other.words[..n], &mask.words[..n]);
-        let mut ca = a.chunks_exact(4);
-        let mut cb = b.chunks_exact(4);
-        let mut cm = m.chunks_exact(4);
-        for ((wa, wb), wm) in ca.by_ref().zip(cb.by_ref()).zip(cm.by_ref()) {
-            let v = (wa[0] & wm[0] & !wb[0])
-                | (wa[1] & wm[1] & !wb[1])
-                | (wa[2] & wm[2] & !wb[2])
-                | (wa[3] & wm[3] & !wb[3]);
-            if v != 0 {
-                return false;
-            }
-        }
-        ca.remainder()
-            .iter()
-            .zip(cb.remainder())
-            .zip(cm.remainder())
-            .all(|((x, y), z)| x & z & !y == 0)
-    }
-
     /// In-place `self ∖ other`.
     pub fn subtract(&mut self, other: &BitSet) {
         let n = self.words.len().min(other.words.len());
@@ -274,21 +245,41 @@ impl BitSet {
         self.words.fill(0);
     }
 
+    /// The backing words, least-significant element first.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterates over members in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &w)| word_members(wi, w))
     }
+
+    /// Iterates over the members of `self ∩ other` in increasing order,
+    /// one word AND at a time — no membership test per element.
+    pub fn iter_and<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(wi, (&a, &b))| word_members(wi, a & b))
+    }
+}
+
+/// The members encoded by word `wi` of a set, ascending.
+fn word_members(wi: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            None
+        } else {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(wi * 64 + b)
+        }
+    })
 }
 
 impl FromIterator<usize> for BitSet {
@@ -406,23 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn is_subset_masked_matches_materialized() {
-        let a: BitSet = [1usize, 2, 3, 64, 200].into_iter().collect();
-        let b: BitSet = [2usize, 64, 150].into_iter().take(3).collect();
-        let mask: BitSet = [2usize, 3, 64, 200].into_iter().collect();
-        let mut am = a.clone();
-        am.intersect(&mask);
-        let mut bm = b.clone();
-        bm.intersect(&mask);
-        assert_eq!(a.is_subset_masked(&b, &mask), am.is_subset(&bm));
-        // Bit 3 is in a ∩ mask but not b → not a masked subset.
-        assert!(!a.is_subset_masked(&b, &mask));
-        // Restricting the mask to b's side makes it one.
-        let mask2: BitSet = [2usize, 64].into_iter().collect();
-        assert!(a.is_subset_masked(&b, &mask2));
-    }
-
-    #[test]
     fn clear_empties_and_keeps_capacity() {
         let mut s: BitSet = [0usize, 63, 64, 129].into_iter().collect();
         s.clear();
@@ -475,9 +449,6 @@ mod tests {
         pub fn intersection_count(a: &BitSet, b: &BitSet) -> usize {
             a.iter().filter(|&i| b.contains(i)).count()
         }
-        pub fn is_subset_masked(a: &BitSet, b: &BitSet, m: &BitSet) -> bool {
-            a.iter().filter(|&i| m.contains(i)).all(|i| b.contains(i))
-        }
     }
 
     proptest::proptest! {
@@ -511,10 +482,6 @@ mod tests {
             proptest::prop_assert_eq!(
                 a.intersection_count(&b),
                 scalar::intersection_count(&a, &b)
-            );
-            proptest::prop_assert_eq!(
-                a.is_subset_masked(&b, &m),
-                scalar::is_subset_masked(&a, &b, &m)
             );
 
             let mut and = a.clone();

@@ -12,8 +12,11 @@
 //!
 //! * the classic **reductions** — essential columns, row dominance, column
 //!   dominance — applied to closure at every search node;
-//! * a **maximal-independent-set lower bound** for pruning;
-//! * best-first **branch-and-bound** on the hardest row;
+//! * a **dual-ascent lower bound** (an LP dual feasible point) for
+//!   pruning, tested on each child before it is visited and again after
+//!   its reductions;
+//! * depth-first **branch-and-bound** on the hardest row, its root
+//!   expanded into subtree tasks swept in parallel for large matrices;
 //! * a **greedy** heuristic (used both standalone and as the initial upper
 //!   bound) and an **exhaustive oracle** for testing.
 //!
@@ -38,9 +41,10 @@
 pub mod bitset;
 
 use bitset::BitSet;
-use ccs_exec::Executor;
+use ccs_exec::{CancelToken, Executor};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Errors returned by the covering solvers.
@@ -159,6 +163,12 @@ pub struct CoverMatrix {
     n_rows: usize,
     weights: Vec<f64>,
     cols: Vec<BitSet>,
+    /// Column indices in (weight, index) order: a column can only
+    /// dominate the columns after it.
+    by_cost: Vec<usize>,
+    /// The transpose, `by_row[r]` = the columns covering row `r`; built
+    /// on first use and reset by every added column.
+    by_row: OnceLock<Vec<BitSet>>,
 }
 
 impl CoverMatrix {
@@ -168,6 +178,8 @@ impl CoverMatrix {
             n_rows,
             weights: Vec::new(),
             cols: Vec::new(),
+            by_cost: Vec::new(),
+            by_row: OnceLock::new(),
         }
     }
 
@@ -199,9 +211,29 @@ impl CoverMatrix {
             assert!(r < self.n_rows, "row {r} out of range {}", self.n_rows);
             set.insert(r);
         }
+        self.push(weight, set)
+    }
+
+    fn push(&mut self, weight: f64, set: BitSet) -> usize {
+        let c = self.cols.len();
+        let at = self.by_cost.partition_point(|&o| self.weights[o] <= weight);
+        self.by_cost.insert(at, c);
         self.cols.push(set);
         self.weights.push(weight);
-        self.cols.len() - 1
+        self.by_row = OnceLock::new();
+        c
+    }
+
+    fn by_row(&self) -> &[BitSet] {
+        self.by_row.get_or_init(|| {
+            let mut t = vec![BitSet::new(self.cols.len()); self.n_rows];
+            for (c, set) in self.cols.iter().enumerate() {
+                for r in set.iter() {
+                    t[r].insert(c);
+                }
+            }
+            t
+        })
     }
 
     /// The weight of column `c`.
@@ -249,8 +281,7 @@ impl CoverMatrix {
         let mut map = Vec::new();
         for (c, set) in self.cols.iter().enumerate() {
             if !drop[c] {
-                m.cols.push(set.clone());
-                m.weights.push(self.weights[c]);
+                m.push(self.weights[c], set.clone());
                 map.push(c);
             }
         }
@@ -296,6 +327,11 @@ impl CoverMatrix {
     /// is byte-identical at every thread count; only wall clock, the
     /// [`steals`](SolveStats::steals) counter, and
     /// [`dominance_ns`](SolveStats::dominance_ns) vary.
+    ///
+    /// Every `*_on` solve polls `exec`'s
+    /// [`cancel_token`](Executor::cancel_token) at each search node; once
+    /// it is cancelled the search stops as if out of node budget, and
+    /// the returned cover is valid but not proven optimal.
     ///
     /// # Errors
     ///
@@ -426,11 +462,21 @@ impl CoverMatrix {
         exec: &Executor,
     ) -> Result<(Cover, SolveStats), CoverError> {
         self.check_feasible()?;
-        let mut ctx = SearchCtx::new(self, node_limit, seed_bound);
+        let mut ctx = SearchCtx::new(self, node_limit, seed_bound, exec.cancel_token());
         // Greedy upper bound seeds the search (and guarantees a valid
         // result even at node_limit = 0).
         ctx.best = self.solve_greedy().ok().map(|c| (c.cost, c.columns));
-        let tasks = self.expand_tasks(&mut ctx);
+        // A small matrix's whole search costs less than starting workers
+        // (the 63 columns of a 12-arc WAN solve in ~50 µs): it runs as
+        // one task, the root, on the calling thread. Larger ones fan out.
+        // The choice depends on the matrix alone, so every thread count
+        // makes the same one.
+        let small = self.cols.len() < PARALLEL_MIN_COLS;
+        let tasks = if small {
+            vec![Frame::root(self)]
+        } else {
+            self.expand_tasks(&mut ctx)
+        };
         let SearchCtx {
             best: start,
             mut stats,
@@ -465,6 +511,13 @@ impl CoverMatrix {
             // what a budgeted search will actually find, which would
             // break the skip ⟹ exclude invariant below.
             let shared = SharedBound::new(start.as_ref().map_or(f64::INFINITY, |(c, _)| *c));
+            let serial;
+            let exec = if small {
+                serial = Executor::serial().with_cancel(exec.cancel_token().clone());
+                &serial
+            } else {
+                exec
+            };
             let (mut results, exec_stats) = exec.par_map_stats(&tasks, |i, frame| {
                 // Racy pickup skip. Safe because the shared bound only
                 // tightens and every published value is the cost of a
@@ -478,7 +531,8 @@ impl CoverMatrix {
                 if frame.bound > s_now + band(s_now) {
                     return SubtreeOut::skipped();
                 }
-                self.run_subtree(frame, budgets[i], &start, seed_bound, Some(&shared))
+                let cancel = exec.cancel_token();
+                self.run_subtree(frame, budgets[i], &start, seed_bound, Some(&shared), cancel)
             });
             stats.steals = exec_stats.steals;
 
@@ -499,7 +553,8 @@ impl CoverMatrix {
             for (i, o) in results.iter_mut().enumerate() {
                 if !o.ran && tasks[i].bound <= c_final + band(c_final) {
                     debug_assert!(false, "racy skip dropped a fold-included subtree");
-                    *o = self.run_subtree(&tasks[i], budgets[i], &start, seed_bound, None);
+                    let cancel = exec.cancel_token();
+                    *o = self.run_subtree(&tasks[i], budgets[i], &start, seed_bound, None, cancel);
                     if let Some((c, _)) = &o.best {
                         c_final = c_final.min(*c);
                     }
@@ -656,8 +711,8 @@ impl CoverMatrix {
     /// Applies the classic reductions (essentials, column dominance,
     /// row dominance) to closure.
     ///
-    /// `covs` is the per-row coverage scratch (`covs[r]` = active
-    /// columns covering row `r`, indexed by row id). It is rebuilt once
+    /// `scratch.covs` is the per-row coverage scratch (`covs[r]` =
+    /// active columns covering row `r`, indexed by row id). It is rebuilt once
     /// at node entry and then maintained incrementally: taking an
     /// essential removes exactly the rows it covers (so no surviving
     /// row's set mentions it), and a column-dominance removal repairs
@@ -674,24 +729,30 @@ impl CoverMatrix {
         mut cost: f64,
         chosen: &mut Vec<usize>,
         stats: &mut SolveStats,
-        covs: &mut [BitSet],
+        scratch: &mut Scratch,
     ) -> Reduced {
+        let Scratch {
+            covs,
+            active,
+            words,
+            ..
+        } = scratch;
+        let by_row = self.by_row();
         for r in rows.iter() {
-            covs[r].clear();
+            covs[r].assign_intersection(&[&by_row[r], &cols]);
         }
-        for c in cols.iter() {
-            for r in self.cols[c].iter() {
-                if rows.contains(r) {
-                    covs[r].insert(c);
-                }
-            }
-        }
+        // Whether the active rows changed since the last column-dominance
+        // pass. Dominance between columns depends only on their rows, so
+        // a pass over a subset of the columns the last pass saw, under
+        // the same rows, finds nothing — the pass is skipped.
+        let mut rows_moved = true;
         loop {
             let mut changed = false;
 
             // Essential columns: a row covered by exactly one column.
             // Apply all essentials found in one sweep.
-            let mut essentials: Vec<usize> = Vec::new();
+            let essentials = &mut *active;
+            essentials.clear();
             for r in rows.iter() {
                 match covs[r].count() {
                     0 => return Reduced::DeadEnd,
@@ -701,7 +762,7 @@ impl CoverMatrix {
             }
             essentials.sort_unstable();
             essentials.dedup();
-            for c in essentials {
+            for &c in essentials.iter() {
                 if !cols.contains(c) {
                     continue; // already taken this sweep
                 }
@@ -711,6 +772,7 @@ impl CoverMatrix {
                 rows.subtract(&self.cols[c]);
                 cols.remove(c);
                 changed = true;
+                rows_moved = true;
             }
 
             if rows.is_empty() {
@@ -722,33 +784,46 @@ impl CoverMatrix {
             // skipping it only weakens pruning, never correctness.
             const COL_DOMINANCE_LIMIT: usize = 320;
 
-            if !changed && cols.count() <= COL_DOMINANCE_LIMIT {
+            if !changed && rows_moved && cols.count() <= COL_DOMINANCE_LIMIT {
+                rows_moved = false;
                 // Column dominance: drop c2 when some c1 covers at least
                 // the same active rows no more expensively (ties keep the
-                // lower-indexed column). Batch-removed in one pass; the
-                // tie-break makes mutual domination impossible. The
-                // masked-subset test runs straight off the column sets —
-                // no per-column `clone` + `intersect` temporaries.
+                // lower-indexed column). Walking the active columns in
+                // (weight, index) order, only an earlier column can
+                // dominate a later one; each is tested against the
+                // earlier ones' active-row words, masked once per pass
+                // (a single word per column up to 64 rows). Dominance is
+                // transitive, so testing against columns this pass has
+                // already dropped removes exactly the same set.
                 let t0 = Instant::now();
-                let active: Vec<usize> = cols.iter().collect();
-                for &c2 in &active {
-                    for &c1 in &active {
-                        if c1 == c2 {
-                            continue;
+                let mask = rows.words();
+                let w = mask.len();
+                active.clear();
+                words.clear();
+                for &c in &self.by_cost {
+                    if cols.contains(c) {
+                        active.push(c);
+                        words.extend(self.cols[c].words().iter().zip(mask).map(|(a, m)| a & m));
+                    }
+                }
+                let masked = &*words;
+                for (i, &c2) in active.iter().enumerate() {
+                    let dominated = if w == 1 {
+                        let m2 = masked[i];
+                        masked[..i].iter().any(|&m1| m2 & !m1 == 0)
+                    } else {
+                        let m2 = &masked[i * w..(i + 1) * w];
+                        masked[..i * w]
+                            .chunks_exact(w)
+                            .any(|m1| m2.iter().zip(m1).all(|(a, b)| a & !b == 0))
+                    };
+                    if dominated {
+                        cols.remove(c2);
+                        for r in self.cols[c2].iter_and(&rows) {
+                            covs[r].remove(c2);
                         }
-                        let cheaper = self.weights[c1] < self.weights[c2]
-                            || (self.weights[c1] == self.weights[c2] && c1 < c2);
-                        if cheaper && self.cols[c2].is_subset_masked(&self.cols[c1], &rows) {
-                            cols.remove(c2);
-                            for r in self.cols[c2].iter() {
-                                if rows.contains(r) {
-                                    covs[r].remove(c2);
-                                }
-                            }
-                            stats.dominated_columns += 1;
-                            changed = true;
-                            break;
-                        }
+                        stats.dominated_columns += 1;
+                        changed = true;
                     }
                 }
                 stats.dominance_ns += t0.elapsed().as_nanos() as u64;
@@ -758,19 +833,33 @@ impl CoverMatrix {
                 // Row dominance: if every column covering r2 also covers
                 // r1, r1 is implied by r2 and can be dropped. Batched; the
                 // index tie-break keeps one of an identical pair.
+                // The pass leaves `covs` unchanged, so each active row's
+                // coverage words are read once up front.
                 let t0 = Instant::now();
-                let active_rows: Vec<usize> = rows.iter().collect();
-                for &r1 in &active_rows {
-                    for &r2 in &active_rows {
+                active.clear();
+                active.extend(rows.iter());
+                let active_rows = &*active;
+                let w = covs[active_rows[0]].words().len().max(1);
+                words.clear();
+                words.extend(
+                    active_rows
+                        .iter()
+                        .flat_map(|&r| covs[r].words().iter().copied()),
+                );
+                for (a, &r1) in active_rows.iter().enumerate() {
+                    let c1 = &words[a * w..(a + 1) * w];
+                    for (b, &r2) in active_rows.iter().enumerate() {
                         if r1 == r2 || !rows.contains(r2) {
                             continue;
                         }
-                        let implies = covs[r2].is_subset(&covs[r1]);
-                        let tie = covs[r1].count() == covs[r2].count();
-                        if implies && (!tie || r2 < r1) {
+                        let c2 = &words[b * w..(b + 1) * w];
+                        // Under c2 ⊆ c1, equal counts means equal sets.
+                        let implies = c2.iter().zip(c1).all(|(x, y)| x & !y == 0);
+                        if implies && (c1 != c2 || r2 < r1) {
                             rows.remove(r1);
                             stats.dominated_rows += 1;
                             changed = true;
+                            rows_moved = true;
                             break;
                         }
                     }
@@ -791,7 +880,7 @@ impl CoverMatrix {
     /// improvements are published to `shared` for other workers'
     /// pickup-time skips.
     fn branch(&self, rows: BitSet, cols: BitSet, cost: f64, ctx: &mut SearchCtx) {
-        if ctx.budget == 0 {
+        if ctx.budget == 0 || ctx.cancel.is_cancelled() {
             ctx.stats.proven_optimal = false;
             return;
         }
@@ -805,7 +894,7 @@ impl CoverMatrix {
             cost,
             &mut ctx.chosen,
             &mut ctx.stats,
-            &mut ctx.covs,
+            &mut ctx.scratch,
         ) {
             Reduced::DeadEnd => {
                 ctx.chosen.truncate(chosen_mark);
@@ -827,7 +916,7 @@ impl CoverMatrix {
 
         let mut lb_cache = None;
         let mut lb_for = |rows: &BitSet, cols: &BitSet| {
-            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols))
+            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols, &mut ctx.scratch))
         };
         if let Some((bc, _)) = &ctx.best {
             let lb = lb_for(&rows, &cols);
@@ -860,24 +949,35 @@ impl CoverMatrix {
         // instead of allocated per node.
         let branch_row = rows
             .iter()
-            .min_by_key(|&r| ctx.covs[r].count())
+            .min_by_key(|&r| ctx.scratch.covs[r].count())
             .expect("rows non-empty");
         let mut options = ctx.options_pool.pop().unwrap_or_default();
-        options.extend(ctx.covs[branch_row].iter());
+        options.extend(ctx.scratch.covs[branch_row].iter());
         options.sort_by(|&a, &b| self.weights[a].total_cmp(&self.weights[b]));
         let mut excluded = cols;
         for &c in &options {
             // Any cover must use one of the covering columns; trying them
             // in turn while excluding previously tried ones is complete
             // and avoids revisiting symmetric solutions.
-            let mut sub_cols = excluded.clone();
-            let mut sub_rows = rows.clone();
-            sub_cols.remove(c);
-            sub_rows.subtract(&self.cols[c]);
-            ctx.chosen.push(c);
-            self.branch(sub_rows, sub_cols, cost + self.weights[c], ctx);
-            ctx.chosen.pop();
+            // The child's columns are `excluded` minus `c`; its rows
+            // are built in a scratch set and copied out only for a child
+            // that survives the bound.
             excluded.remove(c);
+            ctx.child_rows.copy_from(&rows);
+            ctx.child_rows.subtract(&self.cols[c]);
+            let sub_cost = cost + self.weights[c];
+            // A child whose unreduced bound already meets the incumbent
+            // is pruned here, before paying for its reductions.
+            if let Some((bc, _)) = &ctx.best {
+                let lb = self.dual_ascent_bound(&ctx.child_rows, &excluded, &mut ctx.scratch);
+                if sub_cost + lb >= *bc - 1e-12 {
+                    ctx.stats.bound_prunes += 1;
+                    continue;
+                }
+            }
+            ctx.chosen.push(c);
+            self.branch(ctx.child_rows.clone(), excluded.clone(), sub_cost, ctx);
+            ctx.chosen.pop();
         }
         ctx.chosen.truncate(chosen_mark);
         options.clear();
@@ -893,15 +993,8 @@ impl CoverMatrix {
     /// nodes would — and because expansion runs before any worker
     /// exists, every one of those decisions is deterministic.
     fn expand_tasks(&self, ctx: &mut SearchCtx) -> Vec<Frame> {
-        let root = Frame {
-            rows: BitSet::full(self.n_rows),
-            cols: BitSet::full(self.cols.len()),
-            cost: 0.0,
-            chosen: Vec::new(),
-            bound: 0.0,
-        };
         let mut tasks = Vec::new();
-        self.expand_node(root, ctx, &mut tasks);
+        self.expand_node(Frame::root(self), ctx, &mut tasks);
         if tasks.len() < MIN_SUBTREE_TASKS {
             let frames = std::mem::take(&mut tasks);
             for f in frames {
@@ -919,7 +1012,7 @@ impl CoverMatrix {
     /// here, at expansion time, so no pickup-time decision ever depends
     /// on the seed.
     fn expand_node(&self, frame: Frame, ctx: &mut SearchCtx, out: &mut Vec<Frame>) {
-        if ctx.budget == 0 {
+        if ctx.budget == 0 || ctx.cancel.is_cancelled() {
             ctx.stats.proven_optimal = false;
             return;
         }
@@ -932,22 +1025,28 @@ impl CoverMatrix {
             mut chosen,
             ..
         } = frame;
-        let (rows, cols, cost) =
-            match self.reduce(rows, cols, cost, &mut chosen, &mut ctx.stats, &mut ctx.covs) {
-                Reduced::DeadEnd => return,
-                Reduced::Covered(cost) => {
-                    if ctx.best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                        ctx.best = Some((cost, chosen));
-                        ctx.stats.incumbent_updates += 1;
-                    }
-                    return;
+        let (rows, cols, cost) = match self.reduce(
+            rows,
+            cols,
+            cost,
+            &mut chosen,
+            &mut ctx.stats,
+            &mut ctx.scratch,
+        ) {
+            Reduced::DeadEnd => return,
+            Reduced::Covered(cost) => {
+                if ctx.best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
+                    ctx.best = Some((cost, chosen));
+                    ctx.stats.incumbent_updates += 1;
                 }
-                Reduced::Open { rows, cols, cost } => (rows, cols, cost),
-            };
+                return;
+            }
+            Reduced::Open { rows, cols, cost } => (rows, cols, cost),
+        };
 
         let mut lb_cache = None;
         let mut lb_for = |rows: &BitSet, cols: &BitSet| {
-            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols))
+            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols, &mut ctx.scratch))
         };
         if let Some((bc, _)) = &ctx.best {
             let lb = lb_for(&rows, &cols);
@@ -967,9 +1066,9 @@ impl CoverMatrix {
 
         let branch_row = rows
             .iter()
-            .min_by_key(|&r| ctx.covs[r].count())
+            .min_by_key(|&r| ctx.scratch.covs[r].count())
             .expect("rows non-empty");
-        let mut options: Vec<usize> = ctx.covs[branch_row].iter().collect();
+        let mut options: Vec<usize> = ctx.scratch.covs[branch_row].iter().collect();
         options.sort_by(|&a, &b| self.weights[a].total_cmp(&self.weights[b]));
         let mut excluded = cols;
         for &c in &options {
@@ -978,7 +1077,7 @@ impl CoverMatrix {
             sub_cols.remove(c);
             sub_rows.subtract(&self.cols[c]);
             let sub_cost = cost + self.weights[c];
-            let bound = sub_cost + self.dual_ascent_bound(&sub_rows, &sub_cols);
+            let bound = sub_cost + self.dual_ascent_bound(&sub_rows, &sub_cols, &mut ctx.scratch);
             if ctx
                 .best
                 .as_ref()
@@ -1015,8 +1114,9 @@ impl CoverMatrix {
         start: &Option<(f64, Vec<usize>)>,
         seed_bound: Option<f64>,
         shared: Option<&SharedBound>,
+        cancel: &CancelToken,
     ) -> SubtreeOut {
-        let mut ctx = SearchCtx::new(self, budget, seed_bound);
+        let mut ctx = SearchCtx::new(self, budget, seed_bound, cancel);
         ctx.best = start.clone();
         ctx.chosen = frame.chosen.clone();
         ctx.shared = shared;
@@ -1037,42 +1137,37 @@ impl CoverMatrix {
     /// hardest-first; with disjoint rows this reduces to the classic
     /// maximal-independent-set bound, and it is strictly stronger when
     /// columns overlap.
-    fn dual_ascent_bound(&self, rows: &BitSet, cols: &BitSet) -> f64 {
-        let active_cols: Vec<usize> = cols.iter().collect();
-        // covering[k] = indices into active_cols of columns covering row k.
-        let mut order: Vec<(usize, Vec<usize>)> = rows
-            .iter()
-            .map(|r| {
-                let cov: Vec<usize> = active_cols
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| self.cols[c].contains(r))
-                    .map(|(i, _)| i)
-                    .collect();
-                (r, cov)
-            })
-            .collect();
-        order.sort_by_key(|(_, cov)| cov.len());
-        let ascend = |order: &[&(usize, Vec<usize>)]| -> f64 {
-            let mut slack: Vec<f64> = active_cols.iter().map(|&c| self.weights[c]).collect();
+    fn dual_ascent_bound(&self, rows: &BitSet, cols: &BitSet, scratch: &mut Scratch) -> f64 {
+        let by_row = self.by_row();
+        let Scratch { order, slack, .. } = scratch;
+        // Active rows by how many active columns cover them (stable, so
+        // ties stay in row order).
+        order.clear();
+        order.extend(rows.iter().map(|r| (by_row[r].intersection_count(cols), r)));
+        order.sort_by_key(|&(n, _)| n);
+        let mut ascend = |order: &mut dyn Iterator<Item = &(usize, usize)>| -> f64 {
+            slack.clear();
+            slack.extend_from_slice(&self.weights);
             let mut bound = 0.0;
-            for (_, cov) in order {
-                let raise = cov.iter().map(|&i| slack[i]).fold(f64::INFINITY, f64::min);
+            for &(_, r) in order {
+                let raise = by_row[r]
+                    .iter_and(cols)
+                    .map(|c| slack[c])
+                    .fold(f64::INFINITY, f64::min);
                 if raise <= 0.0 || !raise.is_finite() {
                     continue;
                 }
                 bound += raise;
-                for &i in cov {
-                    slack[i] -= raise;
+                for c in by_row[r].iter_and(cols) {
+                    slack[c] -= raise;
                 }
             }
             bound
         };
         // The ascent is order-sensitive; try hardest-first and
         // easiest-first and keep the better bound.
-        let fwd: Vec<&(usize, Vec<usize>)> = order.iter().collect();
-        let rev: Vec<&(usize, Vec<usize>)> = order.iter().rev().collect();
-        ascend(&fwd).max(ascend(&rev))
+        let fwd = ascend(&mut order.iter());
+        fwd.max(ascend(&mut order.iter().rev()))
     }
 }
 
@@ -1084,6 +1179,10 @@ struct SeedPrune {
     bound: f64,
     min_pruned: f64,
 }
+
+/// Matrices with fewer columns search serially from the root instead of
+/// expanding it into parallel subtree tasks.
+const PARALLEL_MIN_COLS: usize = 128;
 
 /// Root expansion keeps splitting (to depth 2) until it has at least
 /// this many subtree tasks, so a worker pool has enough independent
@@ -1128,6 +1227,19 @@ struct Frame {
     bound: f64,
 }
 
+impl Frame {
+    /// The whole matrix: every row and column open, nothing chosen.
+    fn root(m: &CoverMatrix) -> Frame {
+        Frame {
+            rows: BitSet::full(m.n_rows),
+            cols: BitSet::full(m.cols.len()),
+            cost: 0.0,
+            chosen: Vec::new(),
+            bound: 0.0,
+        }
+    }
+}
+
 /// What a subtree task reports back to the fold.
 struct SubtreeOut {
     /// The subtree's final incumbent, `Some` only when it improved on
@@ -1152,6 +1264,21 @@ impl SubtreeOut {
     }
 }
 
+/// Buffers [`CoverMatrix::reduce`] reuses across the nodes of one search.
+struct Scratch {
+    /// Per-row coverage: `covs[r]` = active columns covering row `r`.
+    covs: Vec<BitSet>,
+    /// The columns or rows one reduction step works through.
+    active: Vec<usize>,
+    /// Their coverage words, `words.len() / active.len()` per entry.
+    words: Vec<u64>,
+    /// Dual ascent's active rows as `(covering columns, row)`, easiest
+    /// first.
+    order: Vec<(usize, usize)>,
+    /// Per column, the weight not yet claimed by the ascent.
+    slack: Vec<f64>,
+}
+
 /// Mutable state of one (serial) search: the expansion phase uses one,
 /// and every subtree task gets its own, so nothing here is ever shared
 /// between workers.
@@ -1162,9 +1289,10 @@ struct SearchCtx<'a> {
     seed: Option<SeedPrune>,
     /// Column choices on the current DFS path.
     chosen: Vec<usize>,
-    /// Per-row coverage scratch, reused across all nodes of this
-    /// search (see [`CoverMatrix::reduce`]).
-    covs: Vec<BitSet>,
+    /// Reduction scratch, reused across all nodes of this search.
+    scratch: Scratch,
+    /// A branch's candidate child row set, before its bound test.
+    child_rows: BitSet,
     /// Pool of branch-option Vecs, reused instead of allocating one per
     /// node (a parent's list stays checked out while its children
     /// recurse, so this is a stack, not a single slot).
@@ -1172,10 +1300,18 @@ struct SearchCtx<'a> {
     /// The cross-worker incumbent to publish improvements to; `None`
     /// during expansion and in the serial safety-net path.
     shared: Option<&'a SharedBound>,
+    /// Polled at every node; once cancelled the search stops as if
+    /// out of budget.
+    cancel: CancelToken,
 }
 
 impl<'a> SearchCtx<'a> {
-    fn new(m: &CoverMatrix, budget: u64, seed_bound: Option<f64>) -> SearchCtx<'a> {
+    fn new(
+        m: &CoverMatrix,
+        budget: u64,
+        seed_bound: Option<f64>,
+        cancel: &CancelToken,
+    ) -> SearchCtx<'a> {
         SearchCtx {
             best: None,
             stats: SolveStats {
@@ -1188,9 +1324,17 @@ impl<'a> SearchCtx<'a> {
                 min_pruned: f64::INFINITY,
             }),
             chosen: Vec::new(),
-            covs: vec![BitSet::new(m.cols.len()); m.n_rows],
+            scratch: Scratch {
+                covs: vec![BitSet::new(m.cols.len()); m.n_rows],
+                active: Vec::new(),
+                words: Vec::new(),
+                order: Vec::new(),
+                slack: Vec::new(),
+            },
             options_pool: Vec::new(),
+            child_rows: BitSet::new(m.n_rows),
             shared: None,
+            cancel: cancel.clone(),
         }
     }
 }

@@ -146,3 +146,35 @@ fn structured_instance_spawns_subtrees_and_stays_identical() {
         assert_eq!(got.1, reference.1);
     }
 }
+
+/// The same odd cycles padded past the serial-sweep column threshold
+/// with singleton rows (each forced by an essential column at the
+/// root): the subtree sweep really runs on worker threads, and stays
+/// identical to the serial search.
+#[test]
+fn padded_instance_sweeps_on_workers_and_stays_identical() {
+    let (cycles, padding) = (21usize, 120usize);
+    let mut m = CoverMatrix::new(cycles + padding);
+    for cyc in 0..3usize {
+        let base = cyc * 7;
+        for i in 0..7usize {
+            m.add_column(
+                1.0 + (base + i) as f64 * 0.001,
+                [base + i, base + (i + 1) % 7],
+            );
+        }
+    }
+    for r in cycles..cycles + padding {
+        m.add_column(2.0, [r]);
+    }
+    assert!(m.n_cols() >= 128, "must exceed the serial-sweep threshold");
+    let reference = m.solve_exact_with_stats_on(&Executor::new(1)).unwrap();
+    assert!(reference.1.subtrees > 0, "{:?}", reference.1);
+    assert!(reference.1.proven_optimal);
+    for t in [2usize, 4, 8] {
+        let got = m.solve_exact_with_stats_on(&Executor::new(t)).unwrap();
+        assert_eq!(got.0.columns, reference.0.columns);
+        assert_eq!(got.0.cost.to_bits(), reference.0.cost.to_bits());
+        assert_eq!(got.1, reference.1);
+    }
+}

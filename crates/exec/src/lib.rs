@@ -24,13 +24,16 @@
 //!
 //! The executor is built on scoped `std::thread` only — no channels, no
 //! external crates — consistent with the workspace's vendored-offline
-//! policy. Each `par_map` call spawns its workers, runs the sweep, and
-//! joins; for the few long sweeps per synthesis run this costs
-//! microseconds and keeps the executor free of global state.
+//! policy. A `par_map` call over many items first runs them inline on
+//! the calling thread; only a sweep still unfinished after ~200 µs
+//! spawns its workers for the rest and joins them, so short sweeps never
+//! pay the thread start-up and the executor stays free of global state.
+//! A sweep of at most two items per worker (each item a large share of
+//! the work) spawns its workers straight away.
 //!
 //! Instrumentation: every parallel sweep reports `exec.tasks` (chunks
-//! executed), `exec.steals`, and an `exec.queue_depth` gauge (largest
-//! initial per-worker queue) to the active [`ccs_obs`] sink, and
+//! the sweep splits into), `exec.steals`, and an `exec.queue_depth`
+//! gauge (largest initial per-worker queue) to the active [`ccs_obs`] sink, and
 //! returns the same numbers plus total busy time in [`ExecStats`].
 //! Workers re-enter the spawning thread's per-request observability
 //! scope ([`ccs_obs::scope`]), so a sweep running on behalf of one
@@ -54,6 +57,16 @@ use std::time::{Duration, Instant};
 /// chunks per worker means finer-grained stealing at slightly higher
 /// queueing overhead.
 const CHUNKS_PER_WORKER: usize = 8;
+
+/// A sweep of many items runs them inline on the calling thread until
+/// they have taken this long, and only then spawns workers for the
+/// rest: starting scoped threads costs tens of µs each, more than a
+/// small sweep's whole work. Which items run inline depends on timing,
+/// but each output slot does not, so results are the same either way.
+const INLINE_BUDGET: Duration = Duration::from_micros(200);
+
+/// Items between clock reads of the inline run.
+const CLOCK_STRIDE: usize = 8;
 
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -91,7 +104,8 @@ pub fn default_threads() -> usize {
 /// Statistics of one or more parallel sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
-    /// Chunks (tasks) executed across all workers.
+    /// Chunks (tasks) the sweeps split into: a function of the item and
+    /// thread counts alone, whichever of them ran inline.
     pub tasks: u64,
     /// Chunks obtained by stealing from another worker's queue.
     pub steals: u64,
@@ -147,6 +161,7 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
+    cancel: CancelToken,
 }
 
 impl Executor {
@@ -158,12 +173,28 @@ impl Executor {
         } else {
             threads
         };
-        Executor { threads }
+        Executor {
+            threads,
+            cancel: CancelToken::new(),
+        }
     }
 
     /// A single-threaded executor (runs sweeps inline).
     pub fn serial() -> Executor {
-        Executor { threads: 1 }
+        Executor::new(1)
+    }
+
+    /// The same executor carrying `cancel`, which long-running work on
+    /// it (e.g. the exact covering search) polls to stop early.
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Executor {
+        self.cancel = cancel;
+        self
+    }
+
+    /// The cancellation token work on this executor polls (a fresh,
+    /// never-cancelled one unless set by [`with_cancel`](Self::with_cancel)).
+    pub fn cancel_token(&self) -> &CancelToken {
+        &self.cancel
     }
 
     /// The worker count.
@@ -196,25 +227,52 @@ impl Executor {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            let start = Instant::now();
-            // Buffer decision-ledger emissions for the whole sweep so
-            // the serial path pays the same single merge a worker does.
+        let tasks = match self.threads.min(n) {
+            0 | 1 => u64::from(n > 0),
+            w => (w * CHUNKS_PER_WORKER).min(n) as u64,
+        };
+        let start = Instant::now();
+        let mut head: Vec<R> = Vec::with_capacity(n);
+        {
+            // Buffer decision-ledger emissions for the inline run so it
+            // pays the same single merge a worker does.
             let _ledger = ccs_obs::ledger::worker_scope();
-            let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+            // With at most two items per worker each item is a large
+            // share of the sweep, and running one inline first would
+            // serialize it: such sweeps go straight to the workers. The
+            // clock is read every CLOCK_STRIDE items: a read costs about
+            // as much as a cheap item.
+            let inline = self.threads.min(n) <= 1 || n > 2 * self.threads;
+            while inline
+                && head.len() < n
+                && (self.threads == 1
+                    || head.len() % CLOCK_STRIDE != 0
+                    || start.elapsed() < INLINE_BUDGET)
+            {
+                let i = head.len();
+                head.push(f(i, &items[i]));
+            }
+        }
+        let first = head.len();
+        let inline_busy = start.elapsed();
+        let workers = self.threads.min(n - first);
+        if workers == 0 {
             let stats = ExecStats {
-                tasks: u64::from(n > 0),
+                tasks,
                 steals: 0,
-                busy: start.elapsed(),
+                busy: inline_busy,
                 max_queue_depth: u64::from(n > 0),
             };
             report_sweep(&stats);
-            return (out, stats);
+            return (head, stats);
         }
 
-        // Deal contiguous chunks round-robin onto per-worker queues.
-        let chunks = chunk_ranges(n, workers * CHUNKS_PER_WORKER);
+        // Deal the remaining items as contiguous chunks round-robin
+        // onto per-worker queues.
+        let chunks: Vec<(usize, usize)> = chunk_ranges(n - first, workers * CHUNKS_PER_WORKER)
+            .into_iter()
+            .map(|(s, e)| (first + s, first + e))
+            .collect();
         let queues: Vec<Mutex<VecDeque<(usize, usize)>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         for (c, range) in chunks.iter().enumerate() {
@@ -229,7 +287,6 @@ impl Executor {
             .max()
             .unwrap_or(0) as u64;
 
-        let tasks = AtomicU64::new(0);
         let steals = AtomicU64::new(0);
         let busy_ns = AtomicU64::new(0);
 
@@ -262,7 +319,6 @@ impl Executor {
                 if stolen {
                     steals.fetch_add(1, Ordering::Relaxed);
                 }
-                tasks.fetch_add(1, Ordering::Relaxed);
                 let t0 = Instant::now();
                 for (i, item) in items.iter().enumerate().take(end).skip(start) {
                     local.push((i, f(i, item)));
@@ -283,7 +339,7 @@ impl Executor {
         let obs_scope = ccs_obs::scope::current();
 
         // Scatter tagged results back into input order.
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<R>> = (first..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (1..workers)
                 .map(|w| {
@@ -308,23 +364,25 @@ impl Executor {
                 run_worker(0)
             };
             for (i, r) in slot0 {
-                slots[i] = Some(r);
+                slots[i - first] = Some(r);
             }
             for h in handles {
                 for (i, r) in h.join().expect("executor worker panicked") {
-                    slots[i] = Some(r);
+                    slots[i - first] = Some(r);
                 }
             }
         });
-        let out: Vec<R> = slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled exactly once"))
-            .collect();
+        let mut out = head;
+        out.extend(
+            slots
+                .into_iter()
+                .map(|s| s.expect("every slot filled exactly once")),
+        );
 
         let stats = ExecStats {
-            tasks: tasks.load(Ordering::Relaxed),
+            tasks,
             steals: steals.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(busy_ns.load(Ordering::Relaxed)),
+            busy: Duration::from_nanos(busy_ns.load(Ordering::Relaxed)) + inline_busy,
             max_queue_depth,
         };
         report_sweep(&stats);
@@ -386,7 +444,7 @@ fn det_hash<K: Hash>(seed: u64, key: &K) -> u64 {
 
 /// One shard: entries sorted ascending by retention priority.
 struct Shard<K, V> {
-    entries: Vec<(u128, K, V)>,
+    entries: Vec<(u64, K, V)>,
 }
 
 /// A concurrent, optionally bounded memo table for pure functions.
@@ -401,8 +459,8 @@ struct Shard<K, V> {
 /// A cache built with [`ShardedCache::bounded`] keeps at most
 /// `per_shard` entries per shard, so a long-running daemon cannot
 /// grow it without bound. Eviction is *deterministic*: each key has a
-/// content-derived 128-bit retention priority (two independent fixed-
-/// seed hashes), a full shard admits a new key only by evicting its
+/// content-derived 64-bit retention priority (a fixed-seed hash), a
+/// full shard admits a new key only by evicting its
 /// largest-priority entry, and only when the new key's priority is
 /// smaller. The retained set is therefore the `per_shard`
 /// priority-smallest keys of everything requested — a pure function
@@ -459,16 +517,14 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Retention priority: two independent fixed-seed hashes of the
-    /// key, concatenated. Smaller priorities are retained first; a tie
-    /// across distinct keys needs a 128-bit collision.
-    fn priority(key: &K) -> u128 {
-        let hi = det_hash(0, key);
-        let lo = det_hash(0x9e37_79b9_7f4a_7c15, key);
-        (u128::from(hi) << 64) | u128::from(lo)
+    /// Retention priority: a fixed-seed hash of the key. Smaller
+    /// priorities are retained first; a tie across distinct keys needs
+    /// a 64-bit collision. Its top bits pick the shard.
+    fn priority(key: &K) -> u64 {
+        det_hash(0, key)
     }
 
-    fn find(entries: &[(u128, K, V)], prio: u128, key: &K) -> Option<usize> {
+    fn find(entries: &[(u64, K, V)], prio: u64, key: &K) -> Option<usize> {
         let mut i = entries.partition_point(|e| e.0 < prio);
         while i < entries.len() && entries[i].0 == prio {
             if entries[i].1 == *key {
@@ -485,7 +541,7 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     /// full of smaller-priority keys); the value is still returned.
     pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> V {
         let prio = Self::priority(&key);
-        let slot = &self.shards[(prio >> 64) as u64 as usize % SHARDS];
+        let slot = &self.shards[(prio >> 60) as usize % SHARDS];
         {
             let shard = slot.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(i) = Self::find(&shard.entries, prio, &key) {

@@ -5,17 +5,19 @@
 //! application-chosen norm (Manhattan on chips, Euclidean for networks), the
 //! merge-pruning lemmas compare sums of such distances, and the cost of each
 //! merge candidate is obtained by optimally placing merge hubs — a weighted
-//! [Weber problem](weber). This crate provides those primitives with no
+//! [Weber problem](weber) or its two-hub generalization. This crate
+//! provides those primitives with no
 //! dependencies beyond (optionally) `serde`:
 //!
 //! * [`Point2`] — a plain 2-D point with vector arithmetic;
 //! * [`Norm`] — the Euclidean / Manhattan / Chebyshev distance functions;
 //! * [`median`] — exact 1-D weighted medians;
-//! * [`weber`] — single-hub Weber-point solvers (Weiszfeld iteration for the
-//!   Euclidean norm, coordinate-wise weighted median for Manhattan) and grid
-//!   fallbacks used as test oracles;
-//! * [`twohub`] — the alternating two-hub solver used to place the
-//!   mux/demux pair of a k-way arc merging;
+//! * [`weber`] — single-hub Weber-point solvers (coordinate-wise weighted
+//!   medians for Manhattan and Chebyshev, the smoothed-Newton kernel for the
+//!   Euclidean norm) and a grid oracle for tests;
+//! * [`twohub`] — the two-hub solver placing the mux/demux pair of a k-way
+//!   arc merging (exact breakpoints for Manhattan and Chebyshev, the same
+//!   kernel run jointly on both hubs for the Euclidean norm);
 //! * [`bbox`] — axis-aligned bounding boxes.
 //!
 //! # Examples
@@ -39,6 +41,7 @@
 
 pub mod bbox;
 pub mod median;
+mod newton;
 pub mod norm;
 pub mod point;
 pub mod twohub;

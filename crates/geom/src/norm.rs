@@ -33,9 +33,29 @@ pub enum Norm {
     Chebyshev,
 }
 
+/// A frame in which a separable norm is a weighted sum of per-coordinate
+/// `|Δ|`: points map in by the first function and back by the second,
+/// and weights scale by the factor.
+pub(crate) type SeparableFrame = (fn(Point2) -> Point2, fn(Point2) -> Point2, f64);
+
 impl Norm {
     /// All supported norms, in declaration order.
     pub const ALL: [Norm; 3] = [Norm::Euclidean, Norm::Manhattan, Norm::Chebyshev];
+
+    /// The separable frame of Manhattan (the identity) and of Chebyshev
+    /// — since `‖Δ‖∞ = (|Δu| + |Δv|)/2`, `(u, v) = (x + y, x − y)` with
+    /// halved weights; `None` for Euclidean, which does not separate.
+    pub(crate) fn separable_frame(self) -> Option<SeparableFrame> {
+        match self {
+            Norm::Euclidean => None,
+            Norm::Manhattan => Some((|p| p, |p| p, 1.0)),
+            Norm::Chebyshev => Some((
+                |p| Point2::new(p.x + p.y, p.x - p.y),
+                |p| Point2::new((p.x + p.y) / 2.0, (p.x - p.y) / 2.0),
+                0.5,
+            )),
+        }
+    }
 
     /// Distance between two points under this norm.
     #[inline]

@@ -13,16 +13,13 @@
 //! `f` is jointly convex (a sum of norms of affine maps). Under the
 //! Manhattan norm it separates per coordinate into convex piecewise-linear
 //! 1-D problems whose optima lie on breakpoints, so those are solved
-//! *exactly*; Chebyshev reduces to Manhattan by a 45° rotation. The smooth
-//! Euclidean case uses alternating Weber solves followed by a joint
-//! pattern-search polish.
+//! *exactly*; Chebyshev reduces to Manhattan by a 45° rotation. The
+//! Euclidean case runs the crate's smoothed-Newton kernel (`newton.rs`)
+//! on both hubs at once (a 4×4 system), then snaps onto the kinks — a
+//! hub on an anchor, a collapsed trunk.
 
+use crate::norm::SeparableFrame;
 use crate::{Norm, Point2};
-
-/// Convergence threshold on the objective between alternating sweeps.
-const TWOHUB_TOL: f64 = 1e-9;
-/// Maximum alternating sweeps; convergence is typically < 40.
-const TWOHUB_MAX_ITER: usize = 80;
 
 /// A two-hub (mux/demux) placement problem.
 ///
@@ -66,12 +63,15 @@ pub struct TwoHubSolution {
     pub hub_b: Point2,
     /// Objective value at the returned hubs.
     pub cost: f64,
-    /// Number of alternating sweeps performed (0 for the exact solvers).
+    /// Newton steps taken (0 for the exact solvers).
     pub iterations: usize,
-    /// Objective decrease of the final alternating sweep — the
-    /// convergence residual left when iteration stopped (0 for the exact
-    /// breakpoint solvers, which have none).
+    /// The final Newton decrement, as the predicted objective gap `λ²/2`
+    /// of the last smoothing stage (0 for the exact breakpoint solvers,
+    /// which have none).
     pub residual: f64,
+    /// Whether a smoothing stage stopped at its step cap unconverged
+    /// (always `false` for the exact solvers).
+    pub capped: bool,
 }
 
 impl TwoHubProblem {
@@ -120,209 +120,52 @@ impl TwoHubProblem {
 
     /// Objective value for a candidate hub pair.
     pub fn cost(&self, hub_a: Point2, hub_b: Point2, norm: Norm) -> f64 {
-        let src = self.src_sum(hub_a, norm);
-        let dst = self.dst_sum(hub_b, norm);
-        src + dst + self.trunk_weight * norm.distance(hub_a, hub_b)
-    }
-
-    /// The source half of the objective — depends on `hub_a` only.
-    fn src_sum(&self, hub_a: Point2, norm: Norm) -> f64 {
-        self.sources
-            .iter()
-            .map(|&(p, w)| w * norm.distance(p, hub_a))
-            .sum()
-    }
-
-    /// The sink half of the objective — depends on `hub_b` only.
-    fn dst_sum(&self, hub_b: Point2, norm: Norm) -> f64 {
-        self.sinks
-            .iter()
-            .map(|&(p, w)| w * norm.distance(hub_b, p))
-            .sum()
+        let sum = |pts: &[(Point2, f64)], hub| -> f64 {
+            pts.iter().map(|&(p, w)| w * norm.distance(p, hub)).sum()
+        };
+        sum(&self.sources, hub_a)
+            + sum(&self.sinks, hub_b)
+            + self.trunk_weight * norm.distance(hub_a, hub_b)
     }
 
     /// Solves for the optimal hub pair under `norm`.
     ///
     /// Manhattan and Chebyshev solutions are exact (breakpoint
-    /// enumeration); the Euclidean solution is the alternating-Weber
-    /// optimum polished by a joint pattern search.
+    /// enumeration); the Euclidean solution is the joint smoothed-Newton
+    /// optimum, within [`f64`] round-off of the global one.
     pub fn solve(&self, norm: Norm) -> TwoHubSolution {
-        match norm {
-            Norm::Euclidean => self.solve_euclidean(),
-            Norm::Manhattan => self.solve_manhattan(),
-            Norm::Chebyshev => self.solve_chebyshev(),
-        }
-    }
-
-    fn solve_manhattan(&self) -> TwoHubSolution {
-        let sx: Vec<(f64, f64)> = self.sources.iter().map(|&(p, w)| (p.x, w)).collect();
-        let tx: Vec<(f64, f64)> = self.sinks.iter().map(|&(p, w)| (p.x, w)).collect();
-        let sy: Vec<(f64, f64)> = self.sources.iter().map(|&(p, w)| (p.y, w)).collect();
-        let ty: Vec<(f64, f64)> = self.sinks.iter().map(|&(p, w)| (p.y, w)).collect();
-        let (ax, bx, _) = solve_1d(&sx, &tx, self.trunk_weight);
-        let (ay, by, _) = solve_1d(&sy, &ty, self.trunk_weight);
-        let hub_a = Point2::new(ax, ay);
-        let hub_b = Point2::new(bx, by);
-        TwoHubSolution {
-            hub_a,
-            hub_b,
-            cost: self.cost(hub_a, hub_b, Norm::Manhattan),
-            iterations: 0,
-            residual: 0.0,
-        }
-    }
-
-    fn solve_chebyshev(&self) -> TwoHubSolution {
-        // With u = x + y, v = x − y: ‖Δ‖∞ = (|Δu| + |Δv|)/2, so solve two
-        // Manhattan 1-D problems with halved weights and rotate back.
-        let su: Vec<(f64, f64)> = self
-            .sources
-            .iter()
-            .map(|&(p, w)| (p.x + p.y, w / 2.0))
-            .collect();
-        let tu: Vec<(f64, f64)> = self
-            .sinks
-            .iter()
-            .map(|&(p, w)| (p.x + p.y, w / 2.0))
-            .collect();
-        let sv: Vec<(f64, f64)> = self
-            .sources
-            .iter()
-            .map(|&(p, w)| (p.x - p.y, w / 2.0))
-            .collect();
-        let tv: Vec<(f64, f64)> = self
-            .sinks
-            .iter()
-            .map(|&(p, w)| (p.x - p.y, w / 2.0))
-            .collect();
-        let (au, bu, _) = solve_1d(&su, &tu, self.trunk_weight / 2.0);
-        let (av, bv, _) = solve_1d(&sv, &tv, self.trunk_weight / 2.0);
-        let hub_a = Point2::new((au + av) / 2.0, (au - av) / 2.0);
-        let hub_b = Point2::new((bu + bv) / 2.0, (bu - bv) / 2.0);
-        TwoHubSolution {
-            hub_a,
-            hub_b,
-            cost: self.cost(hub_a, hub_b, Norm::Chebyshev),
-            iterations: 0,
-            residual: 0.0,
-        }
-    }
-
-    fn solve_euclidean(&self) -> TwoHubSolution {
-        // The objective is jointly convex in (hub_a, hub_b) — every term
-        // is a nonnegative multiple of a norm of an affine expression —
-        // so alternating descent from any start reaches the global basin,
-        // and the joint pattern-search polish crosses the nonsmooth stall
-        // points (a hub pinned on an anchor, a collapsed trunk) that
-        // alternation cannot. One start therefore suffices.
-        let mut sol = self.alternate_from(centroid(&self.sources), centroid(&self.sinks));
-        self.polish(&mut sol, Norm::Euclidean);
-        sol
-    }
-
-    fn alternate_from(&self, mut hub_a: Point2, mut hub_b: Point2) -> TwoHubSolution {
-        let norm = Norm::Euclidean;
-        let mut cost = self.cost(hub_a, hub_b, norm);
-        let mut iterations = 0;
-        let mut residual = 0.0;
-        // Each half step optimizes one hub with the other fixed (the
-        // trunk end acts as one more weighted anchor, kept in the last
-        // slot and updated in place — no per-iteration rebuild). The fast
-        // (unpolished) Weber solve suffices here — the joint pattern
-        // search at the end removes the residual error.
-        let mut a_anchors = self.sources.clone();
-        a_anchors.push((hub_b, self.trunk_weight));
-        let mut b_anchors = self.sinks.clone();
-        b_anchors.push((hub_a, self.trunk_weight));
-        for it in 0..TWOHUB_MAX_ITER {
-            iterations = it + 1;
-            *a_anchors.last_mut().expect("sources nonempty") = (hub_b, self.trunk_weight);
-            hub_a = crate::weber::weiszfeld_fast(&a_anchors, 200);
-
-            *b_anchors.last_mut().expect("sinks nonempty") = (hub_a, self.trunk_weight);
-            hub_b = crate::weber::weiszfeld_fast(&b_anchors, 200);
-
-            let next = self.cost(hub_a, hub_b, norm);
-            residual = (cost - next).max(0.0);
-            if cost - next < TWOHUB_TOL * cost.max(1.0) {
-                cost = next;
-                break;
+        let ([hub_a, hub_b], iterations, residual, capped) = match norm.separable_frame() {
+            Some(frame) => (self.solve_separable(frame), 0, 0.0, false),
+            // The objective is jointly convex in (hub_a, hub_b) — every
+            // term is a nonnegative multiple of a norm of an affine
+            // expression — so one start reaches the global optimum.
+            None => {
+                let p = crate::newton::minimize([&self.sources, &self.sinks], 2, self.trunk_weight);
+                (p.hubs, p.steps, p.decrement, p.capped)
             }
-            cost = next;
-        }
+        };
         TwoHubSolution {
             hub_a,
             hub_b,
-            cost,
+            cost: self.cost(hub_a, hub_b, norm),
             iterations,
             residual,
+            capped,
         }
     }
 
-    /// Joint pattern-search polish: escapes the rare stall points of
-    /// alternating minimization (e.g. a hub pinned on an anchor).
-    fn polish(&self, sol: &mut TwoHubSolution, norm: Norm) {
-        let extent = self
-            .sources
-            .iter()
-            .chain(&self.sinks)
-            .map(|&(p, _)| norm.distance(p, sol.hub_a))
-            .fold(1.0, f64::max);
-        let mut h = extent / 4.0;
-        let dirs = [
-            Point2::new(1.0, 0.0),
-            Point2::new(-1.0, 0.0),
-            Point2::new(0.0, 1.0),
-            Point2::new(0.0, -1.0),
-            Point2::new(1.0, 1.0),
-            Point2::new(-1.0, -1.0),
-            Point2::new(1.0, -1.0),
-            Point2::new(-1.0, 1.0),
-        ];
-        // cost(a, b) = (src_sum(a) + dst_sum(b)) + q·‖a − b‖, with the
-        // same association as `cost`; caching the incumbent's half sums
-        // lets a probe that moves only one hub recompute only its half.
-        let mut src = self.src_sum(sol.hub_a, norm);
-        let mut dst = self.dst_sum(sol.hub_b, norm);
-        let mut budget = 12_000usize;
-        while h > 1e-9 && budget > 0 {
-            let mut improved = false;
-            for &d in &dirs {
-                // Move kinds: hub_a alone, hub_b alone, both jointly.
-                for kind in 0..3u8 {
-                    budget = budget.saturating_sub(1);
-                    let (da, db) = match kind {
-                        0 => (d * h, Point2::ORIGIN),
-                        1 => (Point2::ORIGIN, d * h),
-                        _ => (d * h, d * h),
-                    };
-                    let a = sol.hub_a + da;
-                    let b = sol.hub_b + db;
-                    let new_src = if kind == 1 {
-                        src
-                    } else {
-                        self.src_sum(a, norm)
-                    };
-                    let new_dst = if kind == 0 {
-                        dst
-                    } else {
-                        self.dst_sum(b, norm)
-                    };
-                    let c = new_src + new_dst + self.trunk_weight * norm.distance(a, b);
-                    if c + 1e-12 < sol.cost {
-                        sol.hub_a = a;
-                        sol.hub_b = b;
-                        sol.cost = c;
-                        src = new_src;
-                        dst = new_dst;
-                        improved = true;
-                    }
-                }
-            }
-            if !improved {
-                h /= 2.0;
-            }
-        }
+    /// The exact hubs of a separable norm: two 1-D breakpoint problems
+    /// in its frame.
+    fn solve_separable(&self, (to, from, scale): SeparableFrame) -> [Point2; 2] {
+        let axis = |pts: &[(Point2, f64)], pick: fn(Point2) -> f64| -> Vec<(f64, f64)> {
+            pts.iter().map(|&(p, w)| (pick(to(p)), w * scale)).collect()
+        };
+        let solve = |pick: fn(Point2) -> f64| {
+            let (sources, sinks) = (axis(&self.sources, pick), axis(&self.sinks, pick));
+            solve_1d(&sources, &sinks, self.trunk_weight * scale)
+        };
+        let ((ax, bx, _), (ay, by, _)) = (solve(|p| p.x), solve(|p| p.y));
+        [from(Point2::new(ax, ay)), from(Point2::new(bx, by))]
     }
 }
 
@@ -350,18 +193,6 @@ fn solve_1d(sources: &[(f64, f64)], sinks: &[(f64, f64)], q: f64) -> (f64, f64, 
         }
     }
     best
-}
-
-fn centroid(pts: &[(Point2, f64)]) -> Point2 {
-    let tw: f64 = pts.iter().map(|&(_, w)| w).sum();
-    if tw <= 0.0 {
-        return pts[0].0;
-    }
-    let mut c = Point2::ORIGIN;
-    for &(p, w) in pts {
-        c = c + p * w;
-    }
-    c / tw
 }
 
 #[cfg(test)]

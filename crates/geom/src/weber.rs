@@ -11,16 +11,12 @@
 //!   is solved *exactly* by weighted medians.
 //! * Under the **Chebyshev** norm a 45° rotation turns it into a Manhattan
 //!   problem, also solved exactly.
-//! * Under the **Euclidean** norm we run the Weiszfeld fixed-point
-//!   iteration with the Vardi–Zhang correction at anchor points; the
-//!   objective is convex, so the iteration converges to the global optimum.
+//! * Under the **Euclidean** norm the crate's smoothed-Newton kernel
+//!   (`newton.rs`) minimizes the convex objective to within
+//!   round-off, snapping onto an anchor when the optimum sits on one.
 
+use crate::norm::SeparableFrame;
 use crate::{Aabb, Norm, Point2};
-
-/// Convergence tolerance (in coordinate units) for the Weiszfeld iteration.
-const WEISZFELD_TOL: f64 = 1e-9;
-/// Hard cap on Weiszfeld iterations; convergence is typically < 100.
-const WEISZFELD_MAX_ITER: usize = 1_000;
 
 /// A weighted Weber (geometric-median) problem instance.
 ///
@@ -42,6 +38,17 @@ const WEISZFELD_MAX_ITER: usize = 1_000;
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeberProblem {
     anchors: Vec<(Point2, f64)>,
+}
+
+/// The result of a [`WeberProblem::solve_detailed`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeberSolution {
+    /// The optimal hub position.
+    pub hub: Point2,
+    /// Newton steps taken (0 for the exact Manhattan/Chebyshev solvers).
+    pub iterations: usize,
+    /// Whether a smoothing stage stopped at its step cap unconverged.
+    pub capped: bool,
 }
 
 impl WeberProblem {
@@ -80,170 +87,39 @@ impl WeberProblem {
     ///
     /// Manhattan and Chebyshev solutions are exact; the Euclidean solution
     /// is within [`f64`] round-off of the global optimum (the objective is
-    /// convex and the iteration monotone).
+    /// convex).
     pub fn solve(&self, norm: Norm) -> Point2 {
-        match norm {
-            Norm::Euclidean => self.solve_euclidean(),
-            Norm::Manhattan => self.solve_manhattan(),
-            Norm::Chebyshev => self.solve_chebyshev(),
-        }
+        self.solve_detailed(norm).hub
     }
 
-    fn solve_manhattan(&self) -> Point2 {
-        let xs: Vec<(f64, f64)> = self.anchors.iter().map(|&(p, w)| (p.x, w)).collect();
-        let ys: Vec<(f64, f64)> = self.anchors.iter().map(|&(p, w)| (p.y, w)).collect();
-        let x = crate::median::weighted_median(&xs).unwrap_or(self.anchors[0].0.x);
-        let y = crate::median::weighted_median(&ys).unwrap_or(self.anchors[0].0.y);
-        Point2::new(x, y)
-    }
-
-    fn solve_chebyshev(&self) -> Point2 {
-        // L∞ in (x, y) equals L1 in the rotated frame (u, v) = (x+y, x−y)/…
-        // — with u = x + y and v = x − y, ‖·‖∞ = (|Δu| + |Δv|)/2, so the
-        // optimum is the coordinate-wise weighted median in (u, v).
-        let us: Vec<(f64, f64)> = self.anchors.iter().map(|&(p, w)| (p.x + p.y, w)).collect();
-        let vs: Vec<(f64, f64)> = self.anchors.iter().map(|&(p, w)| (p.x - p.y, w)).collect();
-        let u = crate::median::weighted_median(&us).unwrap_or(0.0);
-        let v = crate::median::weighted_median(&vs).unwrap_or(0.0);
-        Point2::new((u + v) / 2.0, (u - v) / 2.0)
-    }
-
-    fn solve_euclidean(&self) -> Point2 {
-        let y = self.solve_euclidean_fast(WEISZFELD_MAX_ITER);
-        // Weiszfeld converges only linearly (slowly for near-collinear
-        // anchor sets); a pattern-search polish pins down the optimum.
-        self.polish(y, Norm::Euclidean)
-    }
-
-    /// Weiszfeld iteration without the polish step — used internally by
-    /// the alternating two-hub solver, which polishes jointly at the end.
-    pub(crate) fn solve_euclidean_fast(&self, max_iter: usize) -> Point2 {
-        weiszfeld_fast(&self.anchors, max_iter)
-    }
-
-    /// Greedy pattern search from `start`, shrinking the step until 1e-9
-    /// (bounded by an evaluation budget so degenerate zigzags terminate).
-    fn polish(&self, start: Point2, norm: Norm) -> Point2 {
-        let extent = self
-            .anchors
-            .iter()
-            .map(|&(p, _)| norm.distance(p, start))
-            .fold(1.0, f64::max);
-        let dirs = [
-            Point2::new(1.0, 0.0),
-            Point2::new(-1.0, 0.0),
-            Point2::new(0.0, 1.0),
-            Point2::new(0.0, -1.0),
-            Point2::new(1.0, 1.0),
-            Point2::new(-1.0, -1.0),
-            Point2::new(1.0, -1.0),
-            Point2::new(-1.0, 1.0),
-        ];
-        let mut best = start;
-        let mut best_cost = self.cost(best, norm);
-        let mut h = extent / 8.0;
-        let mut budget = 4_000usize;
-        while h > 1e-9 && budget > 0 {
-            let mut improved = false;
-            for &d in &dirs {
-                budget = budget.saturating_sub(1);
-                let cand = best + d * h;
-                let c = self.cost(cand, norm);
-                if c + 1e-13 < best_cost {
-                    best = cand;
-                    best_cost = c;
-                    improved = true;
-                }
+    /// [`solve`](Self::solve), also reporting the solver's work.
+    pub fn solve_detailed(&self, norm: Norm) -> WeberSolution {
+        let (hub, iterations, capped) = match norm.separable_frame() {
+            Some(frame) => (self.solve_separable(frame), 0, false),
+            None => {
+                let p = crate::newton::minimize([&self.anchors, &[]], 1, 0.0);
+                (p.hubs[0], p.steps, p.capped)
             }
-            if !improved {
-                h /= 2.0;
-            }
+        };
+        WeberSolution {
+            hub,
+            iterations,
+            capped,
         }
-        best
     }
-}
 
-/// Weiszfeld iteration over a borrowed anchor slice — the allocation-free
-/// core behind [`WeberProblem::solve_euclidean_fast`], also driven
-/// directly by the two-hub solver's alternation loop (which mutates one
-/// anchor in place between calls instead of rebuilding the problem).
-pub(crate) fn weiszfeld_fast(anchors: &[(Point2, f64)], max_iter: usize) -> Point2 {
-    if anchors.iter().any(|&(_, w)| w <= 0.0) {
-        // Zero-weight anchors must not feed the Vardi–Zhang correction;
-        // this cold path filters them out exactly as before.
-        let active: Vec<(Point2, f64)> =
-            anchors.iter().copied().filter(|&(_, w)| w > 0.0).collect();
-        if active.is_empty() {
-            return anchors[0].0;
-        }
-        if active.len() == 1 {
-            return active[0].0;
-        }
-        return weiszfeld_iterate(&active, anchors_centroid(anchors), max_iter);
-    }
-    if anchors.len() == 1 {
-        return anchors[0].0;
-    }
-    weiszfeld_iterate(anchors, anchors_centroid(anchors), max_iter)
-}
-
-fn weiszfeld_iterate(active: &[(Point2, f64)], mut y: Point2, max_iter: usize) -> Point2 {
-    for _ in 0..max_iter {
-        let next = weiszfeld_step(active, y);
-        if (next - y).len() < WEISZFELD_TOL {
-            return next;
-        }
-        y = next;
-    }
-    y
-}
-
-/// Weighted centroid of the full anchor set (the Weiszfeld start point).
-fn anchors_centroid(anchors: &[(Point2, f64)]) -> Point2 {
-    let tw: f64 = anchors.iter().map(|&(_, w)| w).sum();
-    if tw <= 0.0 {
-        return anchors[0].0;
-    }
-    let mut c = Point2::ORIGIN;
-    for &(p, w) in anchors {
-        c = c + p * w;
-    }
-    c / tw
-}
-
-/// One Weiszfeld step with the Vardi–Zhang correction when the iterate
-/// coincides with an anchor.
-fn weiszfeld_step(anchors: &[(Point2, f64)], y: Point2) -> Point2 {
-    const COINCIDE: f64 = 1e-12;
-    let mut num = Point2::ORIGIN;
-    let mut den = 0.0;
-    let mut coincident_weight = 0.0;
-    let mut subgrad = Point2::ORIGIN;
-    for &(p, w) in anchors {
-        let d = (p - y).len();
-        if d < COINCIDE {
-            coincident_weight += w;
-        } else {
-            num = num + p * (w / d);
-            den += w / d;
-            subgrad = subgrad + (p - y) * (w / d);
-        }
-    }
-    if den == 0.0 {
-        // All active anchors coincide with y: y is optimal.
-        return y;
-    }
-    let t = num / den;
-    if coincident_weight == 0.0 {
-        return t;
-    }
-    // Vardi–Zhang: if the pull of the other anchors does not exceed the
-    // coincident weight, y is the optimum; otherwise step a damped amount.
-    let r = subgrad.len();
-    if r <= coincident_weight {
-        y
-    } else {
-        y + (t - y) * (1.0 - coincident_weight / r)
+    /// The exact solve of a separable norm: a weighted median per
+    /// coordinate of its frame.
+    fn solve_separable(&self, (to, from, _): SeparableFrame) -> Point2 {
+        let median = |pick: fn(Point2) -> f64| {
+            let axis: Vec<(f64, f64)> = self
+                .anchors
+                .iter()
+                .map(|&(p, w)| (pick(to(p)), w))
+                .collect();
+            crate::median::weighted_median(&axis).unwrap_or(pick(to(self.anchors[0].0)))
+        };
+        from(Point2::new(median(|p| p.x), median(|p| p.y)))
     }
 }
 

@@ -256,13 +256,19 @@ impl Snapshot {
     /// associative: any merge order over any partition of a sample
     /// yields the same snapshot.
     pub fn merge(&mut self, other: &Snapshot) {
+        self.merge_at(other, 0);
+    }
+
+    /// [`merge`](Self::merge) for an `other` whose bucket counts start
+    /// at bucket `base`.
+    fn merge_at(&mut self, other: &Snapshot, base: usize) {
         if other.count == 0 {
             return;
         }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
+        if self.counts.len() < base + other.counts.len() {
+            self.counts.resize(base + other.counts.len(), 0);
         }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+        for (mine, theirs) in self.counts[base..].iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
         self.min = if self.count == 0 {
@@ -301,10 +307,13 @@ impl Snapshot {
     }
 }
 
-/// One slice of the epoch ring: what was recorded during `epoch`.
+/// One slice of the epoch ring: what was recorded during `epoch`. Its
+/// bucket counts start at bucket `base`, the lowest one recorded, so a
+/// slice stores only the span its values cover.
 #[derive(Debug, Clone)]
 struct Slice {
     epoch: u64,
+    base: usize,
     snap: Snapshot,
 }
 
@@ -352,6 +361,7 @@ impl Windowed {
                 EPOCHS,
                 Slice {
                     epoch: u64::MAX,
+                    base: 0,
                     snap: Snapshot::empty(),
                 },
             );
@@ -363,10 +373,18 @@ impl Windowed {
         }
         let snap = &mut slice.snap;
         let idx = bucket_index(v);
-        if snap.counts.len() <= idx {
-            snap.counts.resize(idx + 1, 0);
+        if snap.count == 0 {
+            slice.base = idx;
+        } else if idx < slice.base {
+            let grow = slice.base - idx;
+            snap.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            slice.base = idx;
         }
-        snap.counts[idx] += 1;
+        let at = idx - slice.base;
+        if snap.counts.len() <= at {
+            snap.counts.resize(at + 1, 0);
+        }
+        snap.counts[at] += 1;
         snap.min = if snap.count == 0 { v } else { snap.min.min(v) };
         snap.max = snap.max.max(v);
         snap.count += 1;
@@ -395,7 +413,7 @@ impl Windowed {
         let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         for slice in ring.iter() {
             if slice.epoch != u64::MAX && slice.epoch >= cutoff && slice.epoch <= epoch_now {
-                merged.merge(&slice.snap);
+                merged.merge_at(&slice.snap, slice.base);
             }
         }
         merged

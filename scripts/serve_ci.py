@@ -40,7 +40,12 @@ from pathlib import Path
 
 CONNECTIONS = 8
 REQUESTS_PER_CONNECTION = 4  # 32 total
-SLOW_SEED, SLOW_CHANNELS = 7, 12  # ~0.5 s optimized: ample cancel window
+# Long enough for a cancel to land mid-run: exact covering alone takes
+# ~0.2 s optimized at 24 channels (the queued victim waits behind it,
+# and it must still finish) and ~1.5 s at 30 (cancelled mid-run; the
+# covering search polls the token at every node).
+BUSY_SEED, BUSY_CHANNELS = 7, 24
+SLOW_SEED, SLOW_CHANNELS = 7, 30
 
 
 def run(argv, **kw):
@@ -211,11 +216,11 @@ def main():
           "stats answered inline under load")
 
     # --- 2. queued-request cancellation ----------------------------------
-    slow = run([ccs, "gen", "wan", "--seed", str(SLOW_SEED),
-                "--channels", str(SLOW_CHANNELS)])
+    busy = run([ccs, "gen", "wan", "--seed", str(BUSY_SEED),
+                "--channels", str(BUSY_CHANNELS)])
     daemon = Daemon(ccs, workers=1)
     conn = daemon.connect()
-    conn.send(request("slow", "synth", slow, library))
+    conn.send(request("slow", "synth", busy, library))
     conn.send(request("victim", "synth", instances[seeds[0]], library, ledger=True))
     conn.send(request("c1", "cancel", target="victim"))
     ack = conn.recv()
@@ -229,6 +234,8 @@ def main():
     print("[2/7] queued request cancelled before starting, no body")
 
     # --- 3. in-flight cancellation ---------------------------------------
+    slow = run([ccs, "gen", "wan", "--seed", str(SLOW_SEED),
+                "--channels", str(SLOW_CHANNELS)])
     side = daemon.connect()
     cancelled_mid_run = False
     for attempt in range(5):

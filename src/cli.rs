@@ -1082,6 +1082,16 @@ fn serve_cmd(rest: &[&str]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The obs recorder is process-global: every test whose command
+    /// installs one (`--metrics-json`, `--trace`, ...) holds this lock,
+    /// so a concurrent test cannot clear or replace it mid-run.
+    static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+
+    fn recorder_lock() -> MutexGuard<'static, ()> {
+        RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1188,6 +1198,7 @@ mod tests {
 
     #[test]
     fn metrics_json_flag_writes_schema_document() {
+        let _guard = recorder_lock();
         let dir = std::env::temp_dir().join("ccs-cli-test4");
         std::fs::create_dir_all(&dir).unwrap();
         let inst = dir.join("wan.ccs");
@@ -1279,6 +1290,7 @@ mod tests {
 
     #[test]
     fn synth_metrics_embed_deterministic_topology() {
+        let _guard = recorder_lock();
         let dir = std::env::temp_dir().join("ccs-cli-test6");
         std::fs::create_dir_all(&dir).unwrap();
         let inst = dir.join("wan.ccs");
@@ -1319,6 +1331,7 @@ mod tests {
 
     #[test]
     fn analyze_reports_criticality_and_embeds_resilience_json() {
+        let _guard = recorder_lock();
         let dir = std::env::temp_dir().join("ccs-cli-test7");
         std::fs::create_dir_all(&dir).unwrap();
         let inst = dir.join("wan.ccs");
@@ -1360,6 +1373,7 @@ mod tests {
 
     #[test]
     fn analyze_resilience_is_byte_identical_across_threads() {
+        let _guard = recorder_lock();
         let dir = std::env::temp_dir().join("ccs-cli-test8");
         std::fs::create_dir_all(&dir).unwrap();
         let inst = dir.join("wan.ccs");
@@ -1398,6 +1412,7 @@ mod tests {
 
     #[test]
     fn analyze_frontier_flag_recommends_within_budget() {
+        let _guard = recorder_lock();
         let dir = std::env::temp_dir().join("ccs-cli-test9");
         std::fs::create_dir_all(&dir).unwrap();
         let inst = dir.join("wan.ccs");

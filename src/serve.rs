@@ -902,12 +902,14 @@ pub struct Engine {
 /// A bounded insertion-ordered set of recently completed request ids.
 #[derive(Default)]
 struct CompletedIds {
-    set: HashSet<String>,
-    order: VecDeque<String>,
+    /// The set and the eviction order share one allocation per id.
+    set: HashSet<Arc<str>>,
+    order: VecDeque<Arc<str>>,
 }
 
 impl CompletedIds {
     fn insert(&mut self, id: String) {
+        let id: Arc<str> = id.into();
         if self.set.insert(id.clone()) {
             self.order.push_back(id);
             while self.order.len() > COMPLETED_IDS_CAP {

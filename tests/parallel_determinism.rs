@@ -137,3 +137,51 @@ fn exec_counters_present_but_steals_excluded() {
     assert!(r.stats.counters.contains_key("covering.subtrees"));
     assert!(!r.stats.counters.contains_key("covering.steals"));
 }
+
+/// The placement solver's work counters — Newton steps and capped
+/// solves — are a pure function of the instance: identical at every
+/// thread count. Recorded through a per-run observability scope, so
+/// concurrently running tests cannot leak events into them.
+#[test]
+fn placement_solver_counters_are_thread_invariant() {
+    use ccs::obs::scope::{enter, RequestObs};
+    use ccs::obs::{Collector, Record};
+    use std::sync::Arc;
+
+    let counters = |cfg: &ClusteredWanConfig, threads: usize| {
+        let collector = Collector::new();
+        let obs = RequestObs::new(Some(collector.clone() as Arc<dyn Record>), None);
+        let guard = enter(obs);
+        run_with_threads(cfg, threads);
+        drop(guard);
+        collector.snapshot().counters
+    };
+    for seed in [3, 42, 977] {
+        let cfg = ClusteredWanConfig {
+            seed,
+            ..ClusteredWanConfig::default()
+        };
+        let serial = counters(&cfg, 1);
+        assert!(
+            serial["placement.solver_steps"] > 0,
+            "no Newton steps recorded"
+        );
+        assert!(serial.contains_key("placement.capped_solves"));
+        for threads in [2, 4] {
+            let par = counters(&cfg, threads);
+            for key in [
+                "placement.solver_steps",
+                "placement.capped_solves",
+                "placement.twohub_solves",
+                "placement.twohub_iterations",
+                "placement.weber_solves",
+            ] {
+                assert_eq!(
+                    serial.get(key),
+                    par.get(key),
+                    "{key} differs at {threads} threads"
+                );
+            }
+        }
+    }
+}

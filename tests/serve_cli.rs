@@ -202,9 +202,11 @@ fn queued_request_cancelled_over_tcp_returns_no_body() {
 fn in_flight_request_cancels_mid_run() {
     let (addr, handle) = start_server(1);
     let mut conn = Conn::open(addr);
-    // seed 7 / 12 channels takes seconds unoptimized — the cancel lands
-    // mid-run with enormous margin.
-    conn.send(&synth_line("slow", 7, 12));
+    // A 30-channel WAN spends over a second in exact covering alone
+    // (optimized; far longer unoptimized), which polls the cancel token
+    // at every search node — the cancel lands mid-run with a wide
+    // margin and takes effect promptly.
+    conn.send(&synth_line("slow", 7, 30));
     std::thread::sleep(std::time::Duration::from_millis(100));
     let mut side = Conn::open(addr);
     side.send(&request_line(

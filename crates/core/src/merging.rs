@@ -688,10 +688,34 @@ pub fn enumerate_with(
     }
 }
 
+/// Whether the Theorem 3.2 bandwidth test cannot prune any subset of
+/// `graph` under `config`, so the enumeration does not depend on the
+/// arcs' bandwidths at all.
+///
+/// A subset `S` is pruned when `Σ_S b − min_S b` reaches the library's
+/// best link rate; over subsets of at most `max_k` arcs that difference
+/// peaks at the sum of the `max_k − 1` largest bandwidths. The check
+/// keeps a relative margin far above the sums' round-off.
+pub(crate) fn bandwidth_prune_inert(
+    graph: &ConstraintGraph,
+    library: &Library,
+    config: &MergeConfig,
+) -> bool {
+    let n = graph.arc_count();
+    let max_k = config.max_k.unwrap_or(n).min(n);
+    if !config.bandwidth_prune || max_k < 2 {
+        return true;
+    }
+    let mut bws: Vec<f64> = graph.arcs().map(|(_, a)| a.bandwidth.as_mbps()).collect();
+    bws.sort_by(|a, b| b.total_cmp(a));
+    let top: f64 = bws[..max_k - 1].iter().sum();
+    top * (1.0 + 1e-6) < library.max_bandwidth().as_mbps() - 1e-9
+}
+
 /// Reports the per-level breakdown to the global [`ccs_obs`] recorder
 /// (counter names `merging.k{k}.examined` / `.geometry_pruned` /
 /// `.bandwidth_pruned` / `.survivors` / `.deactivated`).
-fn emit_level_counters(stats: &MergeStats) {
+pub(crate) fn emit_level_counters(stats: &MergeStats) {
     if !ccs_obs::enabled() {
         return;
     }

@@ -18,7 +18,7 @@ use crate::units::Bandwidth;
 use ccs_exec::ShardedCache;
 use ccs_geom::twohub::TwoHubProblem;
 use ccs_geom::weber::WeberProblem;
-use ccs_geom::Point2;
+use ccs_geom::{Norm, Point2};
 
 /// Lengths below this are treated as a coincident hub/port (no link).
 const ZERO_LEN: f64 = 1e-9;
@@ -158,21 +158,29 @@ pub fn point_to_point_candidate(
     })
 }
 
+/// Per-shard capacity of a long-lived [`PlacementCache`] (16 shards):
+/// the `ccs serve` default, and the private cache of every
+/// [`SynthesisSession`](crate::synthesis::SynthesisSession).
+pub const DEFAULT_CACHE_PER_SHARD: usize = 512;
+
 /// Shared memoization for candidate construction across one synthesis
 /// run (valid for a single `(graph, library)` pair).
 ///
 /// The same constraint arc appears in many surviving merge subsets, and
 /// every appearance re-derives the arc's hub-placement weight — the
 /// [`effective_rate`] scan over the whole link library that feeds the
-/// Weber/two-hub solves. The cache keys that solve input by the demand's
-/// bit pattern, so across a placement fan-out each distinct demand is
-/// priced exactly once no matter how many subsets (or worker threads)
-/// ask. Values are pure functions of the key, so concurrent lookups are
+/// Weber/two-hub solves, and the [`rate_floor`] scan that feeds the
+/// lower bounds. The cache keys both by the demand's bit pattern in one
+/// table, so across a placement fan-out each distinct demand is priced
+/// exactly once no matter how many subsets (or worker threads) ask.
+/// Values are pure functions of the key, so concurrent lookups are
 /// deterministic by construction.
 #[derive(Debug, Default)]
 pub struct PlacementCache {
-    rates: ShardedCache<u64, Option<f64>>,
-    floors: ShardedCache<u64, f64>,
+    /// `[effective_rate, rate_floor]` per demand; an unroutable demand
+    /// has no effective rate and an infinite floor, so the first slot
+    /// holds `∞` for `None`.
+    rates: ShardedCache<u64, [f64; 2]>,
 }
 
 impl PlacementCache {
@@ -184,33 +192,45 @@ impl PlacementCache {
     }
 
     /// An empty cache bounded to `per_shard` entries per shard (16
-    /// shards per table), for long-running processes that share one
-    /// cache across many requests. Eviction is deterministic — see
+    /// shards), for long-running processes that share one cache across
+    /// many requests. Eviction is deterministic — see
     /// [`ShardedCache::bounded`].
     pub fn bounded(per_shard: usize) -> PlacementCache {
         PlacementCache {
             rates: ShardedCache::bounded(per_shard),
-            floors: ShardedCache::bounded(per_shard),
         }
     }
 
-    /// Total entries evicted from both tables so far.
+    /// The most demands the cache ever holds (`usize::MAX` when
+    /// unbounded).
+    pub fn capacity(&self) -> usize {
+        self.rates.capacity()
+    }
+
+    /// Total entries evicted so far.
     pub fn evictions(&self) -> u64 {
-        self.rates.evictions() + self.floors.evictions()
+        self.rates.evictions()
+    }
+
+    /// Both prices of `demand`, computed together on a miss.
+    fn rates(&self, library: &Library, demand: Bandwidth) -> [f64; 2] {
+        self.rates
+            .get_or_insert_with(demand.as_mbps().to_bits(), || {
+                [
+                    effective_rate(library, demand).unwrap_or(f64::INFINITY),
+                    rate_floor(library, demand),
+                ]
+            })
     }
 
     /// Memoized [`effective_rate`].
     pub fn effective_rate(&self, library: &Library, demand: Bandwidth) -> Option<f64> {
-        self.rates
-            .get_or_insert_with(demand.as_mbps().to_bits(), || {
-                effective_rate(library, demand)
-            })
+        Some(self.rates(library, demand)[0]).filter(|r| r.is_finite())
     }
 
     /// Memoized [`rate_floor`].
     pub fn rate_floor(&self, library: &Library, demand: Bandwidth) -> f64 {
-        self.floors
-            .get_or_insert_with(demand.as_mbps().to_bits(), || rate_floor(library, demand))
+        self.rates(library, demand)[1]
     }
 
     /// Distinct demands priced so far.
@@ -281,30 +301,86 @@ pub fn rate_floor(library: &Library, demand: Bandwidth) -> f64 {
         .unwrap_or(f64::INFINITY)
 }
 
+/// The cheapest hub hardware a merge can buy: a mux/demux pair or a
+/// switch, whichever the library offers more cheaply (`None` when it
+/// offers neither).
+fn node_floor(muxdemux: Option<f64>, switch: Option<f64>) -> Option<f64> {
+    match (muxdemux, switch) {
+        (Some(md), Some(s)) => Some(md.min(s)),
+        (md, s) => md.or(s),
+    }
+}
+
+/// The mux + demux price, when the library offers both.
+fn muxdemux_cost(library: &Library) -> Option<f64> {
+    Some(library.node_cost(NodeKind::Mux)? + library.node_cost(NodeKind::Demux)?)
+}
+
+/// The best matching bound of weighted points that all connect to one
+/// hub `H`: for any matched pair, `wᵢ‖pᵢ − H‖ + wⱼ‖pⱼ − H‖ ≥
+/// min(wᵢ, wⱼ)·‖pᵢ − pⱼ‖` by the triangle inequality (any norm), so the
+/// star around `H` costs at least the matching's total. Exhaustive for
+/// up to four points (with nonnegative pair values a perfect matching is
+/// never beaten by a smaller one), greedy above that.
+fn matching_bound(pts: &[(Point2, f64)], norm: Norm) -> f64 {
+    let pair = |i: usize, j: usize| pts[i].1.min(pts[j].1) * norm.distance(pts[i].0, pts[j].0);
+    match pts.len() {
+        0 | 1 => 0.0,
+        2 => pair(0, 1),
+        3 => pair(0, 1).max(pair(0, 2)).max(pair(1, 2)),
+        4 => (pair(0, 1) + pair(2, 3))
+            .max(pair(0, 2) + pair(1, 3))
+            .max(pair(0, 3) + pair(1, 2)),
+        n => {
+            let mut pairs: Vec<(f64, usize, usize)> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (pair(i, j), i, j)))
+                .collect();
+            pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let mut used = vec![false; n];
+            let mut total = 0.0;
+            for (v, i, j) in pairs {
+                if !used[i] && !used[j] {
+                    used[i] = true;
+                    used[j] = true;
+                    total += v;
+                }
+            }
+            total
+        }
+    }
+}
+
 /// A cheap geometric lower bound on [`merge_candidate`]'s cost for
 /// `subset`, used to gate the Weber/two-hub solves (see
 /// [`MergeConfig::lb_gate`](crate::merging::MergeConfig::lb_gate)).
 ///
 /// With `r_a = rate_floor(b(a))`, `r_T = rate_floor(Σ b(a))` and hub
 /// positions `A`, `B` at trunk distance `T`, any merge implementation
-/// costs at least
+/// (the star `A = B` included) costs at least
 ///
 /// ```text
 /// node_floor + Σ_a r_a·(|s_a A| + |B t_a|) + r_T·T
 /// ```
 ///
-/// and per arc the route triangle inequality gives
-/// `|s_a A| + T + |B t_a| ≥ d(a)`, so with `λ = min(1, r_T / Σ_a r_a)`
-/// each arc satisfies `r_a·max(0, d(a) − T) + λ·r_a·T ≥ λ·r_a·d(a)`
-/// (split on `T ≤ d(a)`). Summing and using `r_T·T ≥ λ·(Σ r_a)·T`:
+/// Two facts bound the branch and trunk terms. Per arc the route
+/// triangle inequality gives `|s_a A| + T + |B t_a| ≥ d(a)`; and the
+/// sources alone (the sinks alone) reach one hub, so their branches pay
+/// at least the matching bound `M_s` (`M_t`) of the rate-floor-weighted
+/// points. Split each branch weight into a share `θ ∈ [0, λ]`, with
+/// `λ = min(1, r_T / Σ_a r_a)`, and the rest. Since `r_T·T ≥ θ·(Σ r_a)·T`,
+/// the `θ` shares plus the trunk pay at least `θ·D` with
+/// `D = Σ_a r_a·d(a)`, and the `1 − θ` shares pay at least
+/// `(1 − θ)·M` with `M = M_s + M_t`. The bound is linear in `θ`, so its
+/// best value sits at an endpoint:
 ///
 /// ```text
-/// cost ≥ node_floor + λ·Σ_a r_a·d(a)
+/// cost ≥ node_floor + max(M, λ·D + (1 − λ)·M)
 /// ```
 ///
-/// for *any* hub placement — no assumption on rate monotonicity in
-/// demand. The returned bound scales that by `(1 − 1e-9)` to absorb
-/// zero-length segment trimming (`ZERO_LEN`) and hop-count slop.
+/// for *any* hub placement and any norm — no assumption on rate
+/// monotonicity in demand. The returned bound scales that by
+/// `(1 − 1e-9)` to absorb zero-length segment trimming (`ZERO_LEN`) and
+/// hop-count slop.
 ///
 /// Returns [`f64::INFINITY`] when the subset is structurally infeasible
 /// (no hub hardware, or some demand no link can carry) — exactly the
@@ -316,18 +392,9 @@ pub fn merge_cost_lower_bound(
     cache: &PlacementCache,
 ) -> f64 {
     debug_assert!(subset.len() >= 2, "a merging needs at least two arcs");
-    let muxdemux = match (
-        library.node_cost(NodeKind::Mux),
-        library.node_cost(NodeKind::Demux),
-    ) {
-        (Some(m), Some(d)) => Some(m + d),
-        _ => None,
-    };
-    let node_floor = match (muxdemux, library.node_cost(NodeKind::Switch)) {
-        (Some(md), Some(s)) => md.min(s),
-        (Some(md), None) => md,
-        (None, Some(s)) => s,
-        (None, None) => return f64::INFINITY,
+    let Some(node_floor) = node_floor(muxdemux_cost(library), library.node_cost(NodeKind::Switch))
+    else {
+        return f64::INFINITY;
     };
     let trunk_demand: Bandwidth = subset
         .iter()
@@ -339,6 +406,8 @@ pub fn merge_cost_lower_bound(
     }
     let mut sum_rate = 0.0;
     let mut sum_rate_dist = 0.0;
+    let mut sources = Vec::with_capacity(subset.len());
+    let mut sinks = Vec::with_capacity(subset.len());
     for &i in subset {
         let a = graph.arc(ArcId(i as u32));
         let r = cache.rate_floor(library, a.bandwidth);
@@ -347,13 +416,18 @@ pub fn merge_cost_lower_bound(
         }
         sum_rate += r;
         sum_rate_dist += r * a.distance;
+        sources.push((graph.position(a.src), r));
+        sinks.push((graph.position(a.dst), r));
     }
     let lambda = if sum_rate > 0.0 {
         (trunk_floor / sum_rate).min(1.0)
     } else {
         1.0
     };
-    (node_floor + lambda * sum_rate_dist) * (1.0 - 1e-9)
+    let norm = graph.norm();
+    let matching = matching_bound(&sources, norm) + matching_bound(&sinks, norm);
+    let branches = matching.max(lambda * sum_rate_dist + (1.0 - lambda) * matching);
+    (node_floor + branches) * (1.0 - 1e-9)
 }
 
 /// Why a merge subset has no implementation with a given library —
@@ -450,13 +524,7 @@ pub fn merge_candidate_explained(
     let _profile = ccs_obs::profile::scope("solve_merge");
 
     // Hub hardware on offer.
-    let muxdemux_cost = match (
-        library.node_cost(NodeKind::Mux),
-        library.node_cost(NodeKind::Demux),
-    ) {
-        (Some(m), Some(d)) => Some(m + d),
-        _ => None,
-    };
+    let muxdemux_cost = muxdemux_cost(library);
     let switch_cost = library.node_cost(NodeKind::Switch);
     if muxdemux_cost.is_none() && switch_cost.is_none() {
         return Ok(Err(InfeasibleReason::NoHubHardware));
@@ -579,7 +647,9 @@ fn build_merge(
     hub_hardware: HubHardware,
 ) -> Result<Result<Candidate, InfeasibleReason>, SynthesisError> {
     let norm = graph.norm();
-    let mut segments = Vec::new();
+    // Source branches, the trunk, destination branches: sized exactly,
+    // since kept candidates live on in session caches.
+    let mut segments = Vec::with_capacity(2 * arcs.len() + 1);
     let mut cost = node_cost;
 
     // Source branches.
@@ -985,6 +1055,84 @@ mod tests {
             .map(|i| point_to_point_candidate(&g, &lib, i).unwrap().cost)
             .sum();
         assert!(lb >= p2p_sum * (1.0 - 1e-6), "lb {lb} vs p2p {p2p_sum}");
+    }
+
+    #[test]
+    fn matching_bound_is_exhaustive_up_to_four_points() {
+        let p = |x: f64, y: f64, w: f64| (Point2::new(x, y), w);
+        // Two tight pairs far apart: the best matching pairs across, not
+        // within, the clusters.
+        let pts = [
+            p(0.0, 0.0, 1.0),
+            p(1.0, 0.0, 1.0),
+            p(10.0, 0.0, 1.0),
+            p(11.0, 0.0, 1.0),
+        ];
+        assert_eq!(matching_bound(&pts, Norm::Euclidean), 20.0);
+        // Three points: the best single pair, priced at its lighter end.
+        assert_eq!(matching_bound(&pts[1..], Norm::Euclidean), 10.0);
+        assert_eq!(
+            matching_bound(&[p(0.0, 0.0, 2.0), p(3.0, 4.0, 5.0)], Norm::Manhattan),
+            14.0
+        );
+        assert_eq!(matching_bound(&pts[..1], Norm::Euclidean), 0.0);
+    }
+
+    /// A library whose placement weights overstate every cost floor
+    /// (`rate_floor < effective_rate`): length-capped links amortize a
+    /// priced repeater, the trunk link is per-segment, and a switch
+    /// undercuts mux + demux, so the node floor is the switch.
+    fn capped_library() -> Library {
+        Library::builder()
+            .link(Link::per_length_capped("radio", mbps(11.0), 30.0, 2000.0))
+            .link(Link::fixed_length(
+                "fiber",
+                Bandwidth::from_gbps(1.0),
+                25.0,
+                60_000.0,
+            ))
+            .node(NodeKind::Repeater, 4_000.0)
+            .node(NodeKind::Mux, 3_000.0)
+            .node(NodeKind::Demux, 3_000.0)
+            .node(NodeKind::Switch, 5_000.0)
+            .build()
+            .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// On random merges of 2–5 arcs (the greedy matching runs at
+        /// five), under every norm and with both the paper library and
+        /// one whose placement weights overstate the cost floors, the
+        /// closed-form bound never exceeds the solved cost.
+        #[test]
+        fn lower_bound_never_exceeds_solved_cost_on_random_merges(
+            ports in proptest::collection::vec((0.0..200.0f64, 0.0..200.0f64), 10),
+            arcs in proptest::collection::vec((0usize..10, 1usize..10, 2.0..10.0f64), 2..6),
+        ) {
+            for norm in Norm::ALL {
+                let mut b = ConstraintGraph::builder(norm);
+                let ids: Vec<_> = ports
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(x, y))| b.add_port(format!("p{i}"), Point2::new(x, y)))
+                    .collect();
+                for &(s, hop, bw) in &arcs {
+                    b.add_channel(ids[s], ids[(s + hop) % ids.len()], mbps(bw)).unwrap();
+                }
+                let Ok(g) = b.build() else { continue };
+                let subset: Vec<usize> = (0..arcs.len()).collect();
+                for lib in [wan_paper_library(), capped_library()] {
+                    let cache = PlacementCache::new();
+                    let lb = merge_cost_lower_bound(&g, &lib, &subset, &cache);
+                    let Ok(c) = merge_candidate_explained(&g, &lib, &subset, &cache).unwrap() else {
+                        continue;
+                    };
+                    proptest::prop_assert!(lb <= c.cost * (1.0 + 1e-9), "lb {lb} > cost {}", c.cost);
+                }
+            }
+        }
     }
 
     #[test]

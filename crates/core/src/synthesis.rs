@@ -24,10 +24,13 @@ use crate::error::SynthesisError;
 use crate::implementation::ImplementationGraph;
 use crate::library::{Library, NodeKind};
 use crate::matrices::DistanceMatrices;
-use crate::merging::{enumerate_with, MergeConfig, MergeStats};
+use crate::merging::{
+    bandwidth_prune_inert, emit_level_counters, enumerate_with, MergeConfig, MergeEnumeration,
+    MergeStats,
+};
 use crate::placement::{
     merge_candidate_explained, merge_cost_lower_bound, point_to_point_candidate, Candidate,
-    InfeasibleReason, PlacementCache,
+    InfeasibleReason, PlacementCache, DEFAULT_CACHE_PER_SHARD,
 };
 use crate::units::Bandwidth;
 use ccs_exec::{CancelToken, ExecStats, Executor};
@@ -373,7 +376,32 @@ impl<'a> Synthesizer<'a> {
         let t = Instant::now();
         let alloc0 = ccs_obs::alloc::stats();
         let profile_phase = ccs_obs::profile::scope("merging");
-        let enumeration = enumerate_with(graph, library, &matrices, &self.config.merge, &exec);
+        // The enumeration reads positions, the library's best link rate
+        // and, through the Theorem 3.2 test, bandwidths. A session keeps
+        // it across edits that leave the first two alone while the test
+        // cannot fire (see `SessionState::enumeration`). Reuse skips the
+        // per-subset provenance, so the ledger always gets a fresh one.
+        let bandwidth_inert = warm && bandwidth_prune_inert(graph, library, &self.config.merge);
+        let kept = session.as_deref_mut().and_then(|s| s.enumeration.take());
+        let enumeration = match kept.filter(|_| bandwidth_inert && !ledger::enabled()) {
+            Some(mut e) => {
+                emit_level_counters(&e.stats);
+                // The task count is fixed by the thread count; the rest
+                // of the telemetry belongs to the run that swept.
+                e.stats.exec = ExecStats {
+                    tasks: e.stats.exec.tasks,
+                    ..ExecStats::default()
+                };
+                e
+            }
+            None => Survivors::from(enumerate_with(
+                graph,
+                library,
+                &matrices,
+                &self.config.merge,
+                &exec,
+            )),
+        };
         drop(profile_phase);
         phase_alloc_counters("merging", &alloc0);
         timings.merging = t.elapsed();
@@ -390,7 +418,7 @@ impl<'a> Synthesizer<'a> {
         let t = Instant::now();
         let alloc0 = ccs_obs::alloc::stats();
         let profile_phase = ccs_obs::profile::scope("placement");
-        let subsets: Vec<&Vec<usize>> = enumeration.all_subsets().collect();
+        let subsets = enumeration.subsets();
         let cache: Arc<PlacementCache> = self
             .config
             .shared_cache
@@ -405,63 +433,78 @@ impl<'a> Synthesizer<'a> {
         enum Placed {
             Gated { lb: f64 },
             Done(Result<Candidate, InfeasibleReason>),
-            Reused(Verdict),
         }
         let lb_gate = self.config.merge.lb_gate && !self.config.keep_dominated;
-        let (placed, placement_exec) = {
-            let verdicts = session.as_deref().map(|s| &s.verdicts);
-            exec.par_map_stats(&subsets, |_, s| {
-                if cancel.is_cancelled() {
-                    return Err(SynthesisError::Cancelled);
-                }
-                if let Some(v) = verdicts.and_then(|m| m.get(&SubsetKey::new(s))) {
-                    return Ok(Placed::Reused(v.clone()));
-                }
-                if lb_gate {
-                    // One profiler call per subset, independent of chunking.
-                    let _profile = ccs_obs::profile::scope("lb_gate");
-                    let lb = merge_cost_lower_bound(graph, library, s, cache);
-                    if lb >= member_sum(&candidates, s) * (1.0 - 1e-6) - 1e-12 {
-                        return Ok(Placed::Gated { lb });
-                    }
-                }
-                merge_candidate_explained(graph, library, s, cache).map(Placed::Done)
-            })
+        // A warm run reads clean subsets' verdicts straight from the
+        // session cache (by reference: only a kept candidate is cloned,
+        // once, into the column list); only the rest fan out.
+        let cached: Vec<Option<&Verdict>> = match session.as_deref() {
+            Some(s) => subsets
+                .iter()
+                .map(|sub| s.verdicts.get(&SubsetKey::new(sub)))
+                .collect(),
+            None => vec![None; subsets.len()],
         };
+        let fresh: Vec<&[usize]> = subsets
+            .iter()
+            .zip(&cached)
+            .filter(|(_, v)| v.is_none())
+            .map(|(s, _)| *s)
+            .collect();
+        let (placed, placement_exec) = exec.par_map_stats(&fresh, |_, s| {
+            if cancel.is_cancelled() {
+                return Err(SynthesisError::Cancelled);
+            }
+            if lb_gate {
+                // One profiler call per subset, independent of chunking.
+                let _profile = ccs_obs::profile::scope("lb_gate");
+                let lb = merge_cost_lower_bound(graph, library, s, cache);
+                if lb >= dominance_threshold(&candidates, s) {
+                    return Ok(Placed::Gated { lb });
+                }
+            }
+            merge_candidate_explained(graph, library, s, cache).map(Placed::Done)
+        });
         let ledger_on = ledger::enabled();
         let subset_arcs = |s: &[usize]| -> Vec<u32> { s.iter().map(|&i| i as u32).collect() };
         let mut infeasible = 0usize;
         let mut dominated = 0usize;
         let mut lb_gated = 0usize;
         let mut verdicts_reused = 0u64;
-        for (subset, r) in subsets.iter().zip(placed) {
+        let mut new_verdicts = Vec::new();
+        let mut placed = placed.into_iter();
+        for (subset, hit) in subsets.iter().zip(cached) {
             // Normalize fresh solves and cache hits into one verdict so
             // the counting and candidate-push order below is literally
             // the same code on both paths.
-            let (verdict, reused) = match r? {
-                Placed::Gated { lb } => (Verdict::Gated { lb }, false),
-                Placed::Done(Err(reason)) => (Verdict::Infeasible(reason), false),
-                Placed::Done(Ok(c)) => {
-                    // Hub placement converges to ~1e-9; savings below a
-                    // relative 1e-6 are numerical noise, not real wins.
-                    if !self.config.keep_dominated
-                        && c.cost >= member_sum(&candidates, subset) * (1.0 - 1e-6) - 1e-12
-                    {
-                        (Verdict::Dominated { cost: c.cost }, false)
-                    } else {
-                        (Verdict::Kept(Box::new(c)), false)
+            let reused = hit.is_some();
+            let fresh_verdict;
+            let verdict = match hit {
+                Some(v) => v,
+                None => {
+                    let r = placed.next().expect("one result per fresh subset");
+                    fresh_verdict = match r? {
+                        Placed::Gated { lb } => Verdict::Gated { lb },
+                        Placed::Done(Err(reason)) => Verdict::Infeasible(reason),
+                        Placed::Done(Ok(c)) => {
+                            if !self.config.keep_dominated
+                                && c.cost >= dominance_threshold(&candidates, subset)
+                            {
+                                Verdict::Dominated { cost: c.cost }
+                            } else {
+                                Verdict::Kept(Box::new(c))
+                            }
+                        }
+                    };
+                    if warm {
+                        new_verdicts.push((SubsetKey::new(subset), fresh_verdict.clone()));
                     }
+                    &fresh_verdict
                 }
-                Placed::Reused(v) => (v, true),
             };
             verdicts_reused += u64::from(reused);
-            if warm && !reused {
-                if let Some(s) = session.as_deref_mut() {
-                    s.verdicts.insert(SubsetKey::new(subset), verdict.clone());
-                }
-            }
             match verdict {
-                Verdict::Gated { lb } => {
+                &Verdict::Gated { lb } => {
                     lb_gated += 1;
                     if ledger_on {
                         let cause = if reused {
@@ -478,7 +521,7 @@ impl<'a> Synthesizer<'a> {
                         ));
                     }
                 }
-                Verdict::Infeasible(reason) => {
+                &Verdict::Infeasible(reason) => {
                     infeasible += 1;
                     if ledger_on {
                         let cause = if reused {
@@ -495,7 +538,7 @@ impl<'a> Synthesizer<'a> {
                         ));
                     }
                 }
-                Verdict::Dominated { cost } => {
+                &Verdict::Dominated { cost } => {
                     dominated += 1;
                     if ledger_on {
                         let cause = if reused {
@@ -530,9 +573,12 @@ impl<'a> Synthesizer<'a> {
                             format!("k={},index={}", subset.len(), candidates.len()),
                         ));
                     }
-                    candidates.push(*c);
+                    candidates.push(Candidate::clone(c));
                 }
             }
+        }
+        if let Some(s) = session.as_deref_mut() {
+            s.verdicts.extend(new_verdicts);
         }
         // Each un-gated subset costs one Weber solve plus, when mux and
         // demux are both on offer, one two-hub solve — a library-global
@@ -573,13 +619,10 @@ impl<'a> Synthesizer<'a> {
             .as_deref()
             .and_then(|s| s.prev_selected.as_ref())
             .map(|prev| {
-                let by_arcs: HashMap<&[usize], usize> = candidates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (c.arcs.as_slice(), i))
-                    .collect();
+                // A cover has a handful of columns: scanning beats
+                // hashing every candidate's arc list.
                 prev.iter()
-                    .filter_map(|arcs| by_arcs.get(arcs.as_slice()).copied())
+                    .filter_map(|arcs| candidates.iter().position(|c| c.arcs == *arcs))
                     .collect()
             });
         let outcome = select_seeded_on(
@@ -630,23 +673,6 @@ impl<'a> Synthesizer<'a> {
             ccs_obs::gauge("exec.threads", threads as f64);
         }
 
-        // Persist this run's state for the next warm re-synthesis. The
-        // first `arc_count` candidates are exactly the per-arc p2p
-        // columns; the k = 2 survivors are the merge-neighborhood
-        // adjacency used for the dirty-region counter.
-        if let Some(state) = session {
-            state.p2p = candidates[..graph.arc_count()]
-                .iter()
-                .cloned()
-                .map(Some)
-                .collect();
-            state.prev_selected = Some(selected.iter().map(|c| c.arcs.clone()).collect());
-            state.pairs = enumeration
-                .all_subsets()
-                .filter(|s| s.len() == 2)
-                .map(|s| (s[0] as u32, s[1] as u32))
-                .collect();
-        }
         if warm && ccs_obs::enabled() {
             ccs_obs::counter("resynth.p2p_reused", p2p_reused);
             ccs_obs::counter("resynth.verdicts_reused", verdicts_reused);
@@ -665,7 +691,7 @@ impl<'a> Synthesizer<'a> {
                 threads,
                 &exec_total,
             ),
-            merge_stats: enumeration.stats,
+            merge_stats: enumeration.stats.clone(),
             infeasible_merges: infeasible,
             dominated_dropped: dominated,
             lb_gated,
@@ -687,6 +713,29 @@ impl<'a> Synthesizer<'a> {
             stats
                 .counters
                 .insert("resynth.verdicts_reused".to_string(), verdicts_reused);
+        }
+        // Persist this run's state for the next warm re-synthesis. The
+        // first `arc_count` candidates are exactly the per-arc p2p
+        // columns (a slot still filled was reused verbatim, so only the
+        // recomputed ones are stored); the k = 2 survivors are the
+        // merge-neighborhood adjacency used for the dirty-region counter.
+        if let Some(state) = session {
+            let n = graph.arc_count();
+            if state.p2p.len() != n {
+                state.p2p = vec![None; n];
+            }
+            for (slot, c) in state.p2p.iter_mut().zip(&candidates[..n]) {
+                if slot.is_none() {
+                    *slot = Some(c.clone());
+                }
+            }
+            state.prev_selected = Some(selected.iter().map(|c| c.arcs.clone()).collect());
+            state.pairs = subsets
+                .iter()
+                .filter(|s| s.len() == 2)
+                .map(|s| (s[0] as u32, s[1] as u32))
+                .collect();
+            state.enumeration = bandwidth_inert.then_some(enumeration);
         }
         Ok(SynthesisResult {
             implementation,
@@ -739,6 +788,13 @@ pub enum Edit {
 /// arcs, whose p2p candidates are the cached ones.
 fn member_sum(candidates: &[Candidate], subset: &[usize]) -> f64 {
     subset.iter().map(|&i| candidates[i].cost).sum()
+}
+
+/// The cost at or above which a merge candidate is dropped as dominated.
+/// Hub placement converges to ~1e-9; savings below a relative 1e-6 are
+/// numerical noise, not real wins.
+fn dominance_threshold(candidates: &[Candidate], subset: &[usize]) -> f64 {
+    member_sum(candidates, subset) * (1.0 - 1e-6) - 1e-12
 }
 
 /// A cached placement outcome for one merge subset: the classification
@@ -823,6 +879,43 @@ struct SessionState {
     /// merge-neighborhood adjacency from which the dirty region of an
     /// edit is measured.
     pairs: Vec<(u32, u32)>,
+    /// The previous run's merge enumeration, kept only when no
+    /// bandwidth could prune a subset (so it depends on geometry and the
+    /// library alone) and dropped by any port move or library swap. A
+    /// warm run reuses it when its own bandwidths are just as inert.
+    enumeration: Option<Survivors>,
+}
+
+/// A merge enumeration in one flat arena: the surviving subsets in
+/// enumeration order, level after level (`stats.counts` holds each
+/// level's order and size), plus the run's statistics.
+#[derive(Debug)]
+struct Survivors {
+    flat: Vec<usize>,
+    stats: MergeStats,
+}
+
+impl From<MergeEnumeration> for Survivors {
+    fn from(e: MergeEnumeration) -> Survivors {
+        Survivors {
+            flat: e.all_subsets().flatten().copied().collect(),
+            stats: e.stats,
+        }
+    }
+}
+
+impl Survivors {
+    /// The surviving subsets, in enumeration order.
+    fn subsets(&self) -> Vec<&[usize]> {
+        let mut out = Vec::new();
+        let mut rest = &self.flat[..];
+        for &(k, n) in &self.stats.counts {
+            let (level, tail) = rest.split_at(k * n);
+            out.extend(level.chunks_exact(k));
+            rest = tail;
+        }
+        out
+    }
 }
 
 /// An incremental re-synthesis session: owns a constraint graph and a
@@ -883,9 +976,12 @@ impl SynthesisSession {
     /// populates the caches. When `config` carries no
     /// [`shared_cache`](SynthesisConfig::shared_cache), the session
     /// installs a private one so placement solves persist across edits.
+    /// It is bounded like the `ccs serve` caches
+    /// ([`DEFAULT_CACHE_PER_SHARD`], deterministic eviction), so a long
+    /// edit stream's fresh demands cannot grow it without limit.
     pub fn new(graph: ConstraintGraph, library: Library, mut config: SynthesisConfig) -> Self {
         if config.shared_cache.is_none() {
-            config.shared_cache = Some(Arc::new(PlacementCache::new()));
+            config.shared_cache = Some(session_cache());
         }
         SynthesisSession {
             graph,
@@ -960,6 +1056,7 @@ impl SynthesisSession {
             let mut ports: Vec<Port> = self.graph.ports().map(|(_, p)| p.clone()).collect();
             let mut arcs: Vec<Channel> = self.graph.arcs().map(|(_, a)| *a).collect();
             let mut library = None;
+            let mut moved = false;
             for e in edits {
                 match e {
                     Edit::ArcRate { arc, bandwidth } => {
@@ -981,6 +1078,7 @@ impl SynthesisSession {
                             SynthesisError::InvalidEdit(format!("unknown port {port:?}"))
                         })?;
                         ports[idx].position = *position;
+                        moved = true;
                         let pid = PortId(idx as u32);
                         for (i, a) in arcs.iter().enumerate() {
                             if a.src == pid || a.dst == pid {
@@ -1018,6 +1116,9 @@ impl SynthesisSession {
             if let Some(lib) = library {
                 self.library = lib;
             }
+            if moved || library_changed {
+                self.state.enumeration = None;
+            }
         }
 
         let ledger_on = ledger::enabled();
@@ -1052,7 +1153,7 @@ impl SynthesisSession {
             }
             // Cached placement rates are functions of the library; a
             // swapped library gets a fresh cache.
-            self.config.shared_cache = Some(Arc::new(PlacementCache::new()));
+            self.config.shared_cache = Some(session_cache());
         } else {
             for (i, d) in dirty.iter().enumerate() {
                 if !*d {
@@ -1118,6 +1219,12 @@ impl SynthesisSession {
         }
         Ok(())
     }
+}
+
+/// A session's private placement cache, bounded with deterministic
+/// eviction.
+fn session_cache() -> Arc<PlacementCache> {
+    Arc::new(PlacementCache::bounded(DEFAULT_CACHE_PER_SHARD))
 }
 
 /// Emits the phase's allocation delta (`alloc.<phase>.allocs` /

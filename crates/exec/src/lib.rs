@@ -510,6 +510,12 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         self.per_shard
     }
 
+    /// The most entries the cache ever holds (`usize::MAX` when
+    /// unbounded).
+    pub fn capacity(&self) -> usize {
+        self.per_shard.saturating_mul(SHARDS)
+    }
+
     /// Total entries evicted so far. The *retained set* is
     /// deterministic; this count can vary by a few recomputations
     /// under racing inserts and is informational only.

@@ -89,7 +89,7 @@ pub const SLOW_LOG_CAP: usize = 256;
 
 /// Default per-shard capacity of each shared placement cache (16
 /// shards per table; see [`PlacementCache::bounded`]).
-pub const DEFAULT_CACHE_PER_SHARD: usize = 512;
+pub const DEFAULT_CACHE_PER_SHARD: usize = ccs_core::placement::DEFAULT_CACHE_PER_SHARD;
 
 /// Most distinct libraries with live shared caches. Beyond this the
 /// cache for the largest library fingerprint is dropped — a

@@ -13,6 +13,7 @@ use ccs::core::constraint::ConstraintGraph;
 use ccs::core::library::Library;
 use ccs::core::report::topology_json;
 use ccs::core::synthesis::{Edit, SynthesisConfig, SynthesisSession, Synthesizer};
+use ccs::core::units::Bandwidth;
 use ccs::gen::random::{clustered_wan, soc_floorplan, ClusteredWanConfig, SocConfig};
 use ccs::gen::wan;
 use ccs::geom::Point2;
@@ -200,6 +201,50 @@ proptest! {
 
 /// A library swap invalidates every cached candidate: the reuse counter
 /// stays at zero on the next warm run and the ledger records the purge.
+/// A library-API session bounds its private placement cache: a long
+/// stream of edits that keep pricing fresh demands evicts (with the
+/// same deterministic policy as `ccs serve`) instead of growing without
+/// limit, and the warm result still equals a cold run.
+#[test]
+fn long_edit_stream_keeps_the_session_cache_bounded() {
+    let cfg = ClusteredWanConfig {
+        seed: 7,
+        channels: 8,
+        ..ClusteredWanConfig::default()
+    };
+    let mut session =
+        SynthesisSession::new(clustered_wan(&cfg), wan::paper_library(), session_config(2));
+    let cache = session
+        .config()
+        .shared_cache
+        .clone()
+        .expect("the session installs a private cache");
+    assert!(cache.capacity() < usize::MAX, "session cache is bounded");
+    session.resynthesize(&[]).expect("cold fill succeeds");
+    let n = session.graph().arc_count();
+    let mut fresh = 0usize;
+    while cache.evictions() == 0 {
+        assert!(fresh < 4 * cache.capacity(), "the cache never evicted");
+        // Every arc gets a rate no earlier step used, so each re-run
+        // prices a new demand per arc and per surviving subset.
+        let edits: Vec<Edit> = (0..n)
+            .map(|arc| {
+                fresh += 1;
+                Edit::ArcRate {
+                    arc,
+                    bandwidth: Bandwidth::from_mbps(2.0 + fresh as f64 * 1e-4),
+                }
+            })
+            .collect();
+        session.resynthesize(&edits).expect("warm edit succeeds");
+        assert!(cache.len() <= cache.capacity());
+    }
+    let last = session.resynthesize(&[]).expect("warm re-run succeeds");
+    let mut warm = String::new();
+    topology_json(&last, session.graph(), session.library()).write_pretty(&mut warm, 0);
+    assert_eq!(warm, cold_bytes(session.graph(), session.library(), 2));
+}
+
 #[test]
 fn library_swap_invalidates_everything() {
     let cfg = ClusteredWanConfig {

@@ -7,10 +7,12 @@
 //! covering step sees.
 
 use ccs::core::constraint::ConstraintGraph;
-use ccs::core::library::{soc_paper_library, wan_paper_library, Library};
+use ccs::core::library::{soc_paper_library, wan_paper_library, Library, Link, NodeKind};
 use ccs::core::report::topology_json;
 use ccs::core::synthesis::{SynthesisConfig, SynthesisResult, Synthesizer};
+use ccs::core::units::Bandwidth;
 use ccs::gen::random::{clustered_wan, soc_floorplan, ClusteredWanConfig, SocConfig};
+use ccs::geom::Norm;
 use proptest::prelude::*;
 
 fn run(g: &ConstraintGraph, lib: &Library, lb_gate: bool) -> SynthesisResult {
@@ -62,8 +64,76 @@ fn assert_gate_invariant(g: &ConstraintGraph, lib: &Library) -> (SynthesisResult
     (gated, ungated)
 }
 
+/// A library whose placement weights overstate every cost floor
+/// (`rate_floor < effective_rate`): both links are length-capped, so
+/// each amortizes a priced repeater,
+/// and the trunk link is per-segment. With `mux_demux` a switch
+/// undercuts the mux + demux pair, so the hub floor is the switch;
+/// without, the switch star is the only topology.
+fn capped_library(mux_demux: bool) -> Library {
+    let mut b = Library::builder()
+        .link(Link::per_length_capped(
+            "radio",
+            Bandwidth::from_mbps(11.0),
+            30.0,
+            2000.0,
+        ))
+        .link(Link::fixed_length(
+            "fiber",
+            Bandwidth::from_gbps(1.0),
+            25.0,
+            60_000.0,
+        ))
+        .node(NodeKind::Repeater, 4_000.0)
+        .node(NodeKind::Switch, 5_000.0);
+    if mux_demux {
+        b = b
+            .node(NodeKind::Mux, 3_000.0)
+            .node(NodeKind::Demux, 3_000.0);
+    }
+    b.build().expect("valid library")
+}
+
+/// `g` with its ports and channels re-measured under `norm`.
+fn with_norm(g: &ConstraintGraph, norm: Norm) -> ConstraintGraph {
+    let mut b = ConstraintGraph::builder(norm);
+    let ids: Vec<_> = g
+        .ports()
+        .map(|(_, p)| b.add_port(p.name.clone(), p.position))
+        .collect();
+    for (_, a) in g.arcs() {
+        b.add_channel_limited(
+            ids[a.src.index()],
+            ids[a.dst.index()],
+            a.bandwidth,
+            a.max_hops,
+        )
+        .expect("valid channel");
+    }
+    b.build().expect("valid graph")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Seeded clustered WANs priced with the capped library and its
+    /// switch-only variant under every norm: gate on vs off is
+    /// result-identical where the weights overstate the floors, the node
+    /// floor is a switch, and (switch-only) the star is the one topology.
+    #[test]
+    fn lb_gate_is_result_invariant_with_capped_links(
+        seed in 1u64..1000,
+        clusters in 2usize..4,
+        channels in 4usize..10,
+    ) {
+        let cfg = ClusteredWanConfig { clusters, channels, seed, ..ClusteredWanConfig::default() };
+        let g = clustered_wan(&cfg);
+        for norm in Norm::ALL {
+            for mux_demux in [true, false] {
+                assert_gate_invariant(&with_norm(&g, norm), &capped_library(mux_demux));
+            }
+        }
+    }
 
     /// Seeded clustered-WAN instances: gate on vs off is result-identical.
     #[test]

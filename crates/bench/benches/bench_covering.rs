@@ -5,6 +5,8 @@ use ccs_core::cover::build_matrix;
 use ccs_core::matrices::DistanceMatrices;
 use ccs_core::merging::{enumerate, MergeConfig};
 use ccs_core::placement::{merge_candidate, point_to_point_candidate, Candidate};
+use ccs_covering::Search;
+use ccs_exec::Executor;
 use ccs_gen::random::{clustered_wan, ClusteredWanConfig};
 use ccs_gen::wan;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -43,7 +45,13 @@ fn bench_covering(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("exact", format!("{n}rows_{cols}cols")),
             &m,
-            |b, m| b.iter(|| black_box(m).solve_exact().unwrap()),
+            |b, m| {
+                b.iter(|| {
+                    black_box(m)
+                        .solve(Search::Exact, &Executor::serial())
+                        .unwrap()
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("greedy", format!("{n}rows_{cols}cols")),

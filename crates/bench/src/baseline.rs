@@ -280,21 +280,14 @@ fn run_case(case: &Case, threads: usize) -> Result<CaseRun, String> {
             let m = covering_par_instance();
             let exec = ccs_exec::Executor::new(threads);
             let (cover, stats) = m
-                .solve_exact_with_stats_on(&exec)
+                .solve(ccs_covering::Search::Exact, &exec)
                 .map_err(|e| format!("{}: {e}", case.name))?;
             std::hint::black_box(&cover);
-            let mut counters = BTreeMap::new();
-            counters.insert("covering.bnb_nodes".to_string(), stats.nodes);
-            counters.insert("covering.subtrees".to_string(), stats.subtrees);
-            counters.insert(
-                "covering.shared_bound_tightenings".to_string(),
-                stats.shared_bound_tightenings,
-            );
-            counters.insert("covering.bound_prunes".to_string(), stats.bound_prunes);
-            counters.insert(
-                "covering.proven_optimal".to_string(),
-                u64::from(stats.proven_optimal),
-            );
+            let counters = stats
+                .counters()
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect();
             Ok(CaseRun::counters(counters))
         }
     }

@@ -17,6 +17,7 @@
 //! byte-diffs these across thread counts, cold and warm-seeded.
 
 use ccs_bench::baseline;
+use ccs_covering::Search;
 
 /// Count allocations so bench documents carry real `"alloc"` metrics.
 #[global_allocator]
@@ -198,11 +199,10 @@ fn cmd_covering<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<i32, String
 
     let m = baseline::covering_par_instance();
     let exec = ccs_exec::Executor::new(threads);
-    let (cover, stats) = match &seed {
-        Some(cols) => m.solve_exact_seeded_on(cols, &exec),
-        None => m.solve_exact_with_stats_on(&exec),
-    }
-    .map_err(|e| format!("covering solve failed: {e}"))?;
+    let search = seed.as_deref().map_or(Search::Exact, Search::Seeded);
+    let (cover, stats) = m
+        .solve(search, &exec)
+        .map_err(|e| format!("covering solve failed: {e}"))?;
 
     use ccs_obs::json::Value;
     use std::collections::BTreeMap;
@@ -225,21 +225,7 @@ fn cmd_covering<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<i32, String
     );
     // Schedule-independent counters only — `steals` and `dominance_ns`
     // legitimately vary run to run and would break the byte-diff.
-    let counters: [(&str, u64); 10] = [
-        ("covering.bnb_nodes", stats.nodes),
-        ("covering.essentials", stats.essentials),
-        ("covering.dominated_columns", stats.dominated_columns),
-        ("covering.dominated_rows", stats.dominated_rows),
-        ("covering.bound_prunes", stats.bound_prunes),
-        ("covering.seed_prunes", stats.seed_prunes),
-        ("covering.incumbent_updates", stats.incumbent_updates),
-        ("covering.subtrees", stats.subtrees),
-        (
-            "covering.shared_bound_tightenings",
-            stats.shared_bound_tightenings,
-        ),
-        ("covering.proven_optimal", u64::from(stats.proven_optimal)),
-    ];
+    let counters = stats.counters();
     let mut doc = BTreeMap::new();
     doc.insert(
         "schema".to_string(),

@@ -225,6 +225,8 @@ impl ConstraintGraphBuilder {
     /// * [`BuildError::SelfLoop`] — `src == dst`;
     /// * [`BuildError::ZeroDistance`] — the endpoints share a position
     ///   (Assumption 2.1 requires positive implementation costs);
+    /// * [`BuildError::NonFiniteDistance`] — the endpoints are so far
+    ///   apart that the distance overflows;
     /// * [`BuildError::ZeroBandwidth`] — `bandwidth` is zero.
     pub fn add_channel(
         &mut self,
@@ -267,12 +269,18 @@ impl ConstraintGraphBuilder {
         if max_hops == Some(0) {
             return Err(BuildError::ZeroHopBound);
         }
-        let distance = self.norm.distance(
+        let (from, to) = (
             self.ports[src.index()].position,
             self.ports[dst.index()].position,
         );
+        let distance = self.norm.distance(from, to);
         if distance <= 0.0 {
             return Err(BuildError::ZeroDistance(src, dst));
+        }
+        // A non-finite position is `build`'s error to report; finite
+        // positions can still be far enough apart to overflow the norm.
+        if from.is_finite() && to.is_finite() && !distance.is_finite() {
+            return Err(BuildError::NonFiniteDistance(src, dst));
         }
         let id = ArcId(self.arcs.len() as u32);
         self.arcs.push(Channel {
@@ -386,6 +394,17 @@ mod tests {
         assert_eq!(
             b.add_channel(p0, p1, Bandwidth::ZERO),
             Err(BuildError::ZeroBandwidth)
+        );
+    }
+
+    #[test]
+    fn rejects_overflowing_distance() {
+        let mut b = ConstraintGraph::builder(Norm::Euclidean);
+        let p0 = b.add_port("A", Point2::ORIGIN);
+        let p1 = b.add_port("B", Point2::new(1e300, 1e300));
+        assert_eq!(
+            b.add_channel(p0, p1, mbps(1.0)),
+            Err(BuildError::NonFiniteDistance(p0, p1))
         );
     }
 

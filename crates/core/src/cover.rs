@@ -7,7 +7,7 @@
 
 use crate::error::SynthesisError;
 use crate::placement::Candidate;
-use ccs_covering::{CoverMatrix, SolveStats};
+use ccs_covering::{CoverMatrix, Search, SolveStats};
 use ccs_exec::Executor;
 use ccs_obs::ledger::{self, Cause, DecisionEvent};
 
@@ -58,60 +58,27 @@ pub fn build_matrix(candidates: &[Candidate], n_arcs: usize) -> CoverMatrix {
 }
 
 /// Selects the minimum-cost subset of `candidates` covering all `n_arcs`
-/// constraint arcs.
+/// constraint arcs, running the branch-and-bound over `exec`: the root
+/// branch options expand into independent subtree tasks that the
+/// executor's workers race through under a shared incumbent bound. The
+/// returned selection, ledger events, and deterministic statistics are
+/// byte-identical at every worker count — only wall clock and the
+/// scheduling-dependent [`SolveStats::steals`]/
+/// [`SolveStats::dominance_ns`] fields vary.
+///
+/// `seed`, when given, warm-starts the exact solver from the candidate
+/// indices of a known feasible cover (typically the previous selection
+/// of an incremental re-synthesis session). The seed bounds the search;
+/// it never changes the returned selection, which stays bit-identical
+/// to an unseeded solve (see [`ccs_covering::Search::Seeded`]). An
+/// invalid or infeasible seed is ignored. Non-exact strategies ignore
+/// the seed entirely.
 ///
 /// # Errors
 ///
 /// [`SynthesisError::Cover`] when the matrix is infeasible (an arc with
 /// no candidate — cannot happen when the point-to-point candidates are
 /// included) or the solver otherwise fails.
-pub fn select(
-    candidates: &[Candidate],
-    n_arcs: usize,
-    strategy: CoverStrategy,
-) -> Result<CoverOutcome, SynthesisError> {
-    select_inner(
-        candidates,
-        n_arcs,
-        strategy,
-        |_, _| false,
-        None,
-        &Executor::serial(),
-    )
-}
-
-/// Like [`select`], but warm-starts the exact solver from `seed` — the
-/// candidate indices of a known feasible cover (typically the previous
-/// selection of an incremental re-synthesis session). The seed bounds
-/// the branch-and-bound search; it never changes the returned
-/// selection, which stays bit-identical to an unseeded [`select`]
-/// (see [`ccs_covering::CoverMatrix::solve_exact_seeded`]). An invalid
-/// or infeasible seed is ignored. Non-exact strategies ignore the seed
-/// entirely.
-///
-/// # Errors
-///
-/// As [`select`].
-pub fn select_seeded(
-    candidates: &[Candidate],
-    n_arcs: usize,
-    strategy: CoverStrategy,
-    seed: Option<&[usize]>,
-) -> Result<CoverOutcome, SynthesisError> {
-    select_seeded_on(candidates, n_arcs, strategy, seed, &Executor::serial())
-}
-
-/// Like [`select_seeded`], but runs the branch-and-bound over `exec`:
-/// the root branch options expand into independent subtree tasks that
-/// the executor's workers race through under a shared incumbent bound.
-/// The returned selection, ledger events, and deterministic statistics
-/// are byte-identical at every worker count — only wall clock and the
-/// scheduling-dependent [`SolveStats::steals`]/
-/// [`SolveStats::dominance_ns`] fields vary.
-///
-/// # Errors
-///
-/// As [`select`].
 pub fn select_seeded_on(
     candidates: &[Candidate],
     n_arcs: usize,
@@ -122,8 +89,9 @@ pub fn select_seeded_on(
     select_inner(candidates, n_arcs, strategy, |_, _| false, seed, exec)
 }
 
-/// Like [`select`], but removes every candidate for which `excluded`
-/// returns `true` before solving the covering problem.
+/// Like [`select_seeded_on`] on the serial executor without a seed, but
+/// removes every candidate for which `excluded` returns `true` before
+/// solving the covering problem.
 ///
 /// Used by resilience analysis to re-cover with fragile candidates
 /// (e.g. high-order mergings whose shared trunk is a single point of
@@ -172,7 +140,7 @@ where
         .map(|(i, _)| i)
         .collect();
     // Solve the original matrix directly when nothing is excluded —
-    // the common (plain `select`) path pays no column-copy.
+    // the common path pays no column-copy.
     let (m, map) = if excluded_cols.is_empty() {
         (full, (0..candidates.len()).collect())
     } else {
@@ -185,37 +153,26 @@ where
     // The seed's indices live in the candidate (= unexcluded column)
     // index space, so it only applies when no column was removed.
     let seed = seed.filter(|_| excluded_cols.is_empty());
-    let (cover, stats) = match strategy {
-        CoverStrategy::Exact => {
-            let (c, s) = match seed {
-                Some(seed_cols) => m.solve_exact_seeded_on(seed_cols, exec)?,
-                None => m.solve_exact_with_stats_on(exec)?,
-            };
+    let search = match strategy {
+        CoverStrategy::Exact => Some(seed.map_or(Search::Exact, Search::Seeded)),
+        CoverStrategy::Anytime { node_limit } => Some(Search::Budget(node_limit)),
+        CoverStrategy::Greedy => None,
+    };
+    let (cover, stats) = match search {
+        Some(search) => {
+            let (c, s) = m.solve(search, exec)?;
             (c, Some(s))
         }
-        CoverStrategy::Greedy => (m.solve_greedy()?, None),
-        CoverStrategy::Anytime { node_limit } => {
-            let (c, s) = m.solve_anytime_on(node_limit, exec)?;
-            (c, Some(s))
-        }
+        None => (m.solve_greedy()?, None),
     };
     drop(profile_solve);
     if ccs_obs::enabled() {
         ccs_obs::counter("covering.rows", m.n_rows() as u64);
         ccs_obs::counter("covering.cols", m.n_cols() as u64);
         if let Some(s) = &stats {
-            ccs_obs::counter("covering.bnb_nodes", s.nodes);
-            ccs_obs::counter("covering.essentials", s.essentials);
-            ccs_obs::counter("covering.dominated_columns", s.dominated_columns);
-            ccs_obs::counter("covering.dominated_rows", s.dominated_rows);
-            ccs_obs::counter("covering.bound_prunes", s.bound_prunes);
-            ccs_obs::counter("covering.seed_prunes", s.seed_prunes);
-            ccs_obs::counter("covering.incumbent_updates", s.incumbent_updates);
-            ccs_obs::counter("covering.subtrees", s.subtrees);
-            ccs_obs::counter(
-                "covering.shared_bound_tightenings",
-                s.shared_bound_tightenings,
-            );
+            for (name, value) in s.counters() {
+                ccs_obs::counter(name, value);
+            }
             // Work-stealing count is scheduling-dependent (informational
             // in metrics diffs); dominance time is a wall-clock gauge.
             ccs_obs::counter("covering.steals", s.steals);
@@ -272,6 +229,14 @@ mod tests {
     use crate::placement::{merge_candidate, point_to_point_candidate};
     use crate::units::Bandwidth;
     use ccs_geom::{Norm, Point2};
+
+    fn select(
+        candidates: &[Candidate],
+        n_arcs: usize,
+        strategy: CoverStrategy,
+    ) -> Result<CoverOutcome, SynthesisError> {
+        select_seeded_on(candidates, n_arcs, strategy, None, &Executor::serial())
+    }
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::from_mbps(x)

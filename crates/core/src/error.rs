@@ -22,6 +22,9 @@ pub enum BuildError {
     ZeroHopBound,
     /// A port position was not finite.
     NonFinitePosition(PortId),
+    /// Two channel endpoints have finite positions so far apart that
+    /// the arc distance overflows to infinity.
+    NonFiniteDistance(PortId, PortId),
 }
 
 impl fmt::Display for BuildError {
@@ -41,6 +44,12 @@ impl fmt::Display for BuildError {
             }
             BuildError::NonFinitePosition(p) => {
                 write!(f, "port {p} has a non-finite position")
+            }
+            BuildError::NonFiniteDistance(u, v) => {
+                write!(
+                    f,
+                    "ports {u} and {v} are too far apart (distance overflows)"
+                )
             }
         }
     }

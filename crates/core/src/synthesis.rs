@@ -291,7 +291,7 @@ impl<'a> Synthesizer<'a> {
     /// seeds the covering solver with the previous selection. None of
     /// the reuse can change a single result bit: cached values are the
     /// bits a recompute would produce, they are folded in the same
-    /// order, and [`select_seeded`] is result-identical to an unseeded
+    /// order, and [`select_seeded_on`] is result-identical to an unseeded
     /// solve by construction.
     fn run_impl(
         &self,
@@ -929,7 +929,7 @@ impl Survivors {
 /// count. What changes is the work: clean arcs skip their p2p solve,
 /// clean merge subsets skip hub placement, and the covering solver is
 /// warm-started from the previous cover (see
-/// [`ccs_covering::CoverMatrix::solve_exact_seeded`] for why the seed
+/// [`ccs_covering::Search::Seeded`] for why the seed
 /// cannot change the answer).
 ///
 /// Invalidation is edit-driven, before the run: an arc-rate or
@@ -1276,26 +1276,11 @@ fn run_counters(
     c.insert("covering.rows".to_string(), outcome.rows as u64);
     c.insert("covering.cols".to_string(), outcome.cols as u64);
     if let Some(s) = &outcome.stats {
-        c.insert("covering.bnb_nodes".to_string(), s.nodes);
-        c.insert("covering.essentials".to_string(), s.essentials);
-        c.insert(
-            "covering.dominated_columns".to_string(),
-            s.dominated_columns,
-        );
-        c.insert("covering.dominated_rows".to_string(), s.dominated_rows);
-        c.insert("covering.bound_prunes".to_string(), s.bound_prunes);
-        c.insert(
-            "covering.incumbent_updates".to_string(),
-            s.incumbent_updates,
-        );
-        // Subtree fan-out and fold-level bound improvements are fixed by
-        // the instance and thread-count-invariant; per-worker steal
-        // counts are scheduling-dependent and stay out of this map.
-        c.insert("covering.subtrees".to_string(), s.subtrees);
-        c.insert(
-            "covering.shared_bound_tightenings".to_string(),
-            s.shared_bound_tightenings,
-        );
+        // Schedule-dependent steal counts and dominance time stay out
+        // of this map.
+        for (name, value) in s.counters() {
+            c.insert(name.to_string(), value);
+        }
     }
     c
 }

@@ -23,14 +23,15 @@
 //! # Examples
 //!
 //! ```
-//! use ccs_covering::CoverMatrix;
+//! use ccs_covering::{CoverMatrix, Search};
+//! use ccs_exec::Executor;
 //!
 //! // Rows 0..3; three candidate columns.
 //! let mut m = CoverMatrix::new(3);
 //! m.add_column(5.0, [0, 1]);
 //! m.add_column(5.0, [1, 2]);
 //! m.add_column(7.0, [0, 1, 2]);
-//! let cover = m.solve_exact().unwrap();
+//! let (cover, _stats) = m.solve(Search::Exact, &Executor::serial()).unwrap();
 //! assert_eq!(cover.cost, 7.0);
 //! assert_eq!(cover.columns, vec![2]);
 //! ```
@@ -86,6 +87,45 @@ pub struct Cover {
     pub cost: f64,
 }
 
+/// What [`CoverMatrix::solve`] asks of the branch-and-bound search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Search<'a> {
+    /// Search to completion: the cover is proven optimal.
+    Exact,
+    /// Search to completion warm-started from a known cover: the
+    /// columns must be a feasible cover of the matrix (e.g. the
+    /// selection from a previous solve over a lightly edited instance).
+    /// Its cost `B` is an upper bound on the optimum, so subtrees whose
+    /// lower bound already exceeds `B` are pruned without waiting for
+    /// the incumbent to tighten — on a near-unchanged matrix most of the
+    /// tree dies at the root.
+    ///
+    /// **Result-identical to [`Search::Exact`]**: the seed influences
+    /// pruning only, never the incumbent, and the extra prune is strict
+    /// (`cost + lb > B`), so it can only remove subtrees in which every
+    /// solution costs strictly more than the known cover — never the
+    /// first-visited optimum the unseeded search would return. The one
+    /// place this could diverge is a pruned subtree whose bound lies
+    /// within floating-point noise of `B` (a tight bound on the
+    /// optimum's own path evaluates a few ulps above `B` on large
+    /// weights); the search tracks the minimum pruned bound and falls
+    /// back to a plain unseeded solve whenever a prune lands inside a
+    /// dead band that scales with `B`'s magnitude, so the guarantee
+    /// holds unconditionally, at every thread count. Only [`SolveStats`]
+    /// may differ (fewer nodes, `seed_prunes > 0`).
+    ///
+    /// An infeasible or invalid seed is not an error: it is ignored and
+    /// the plain exact search runs.
+    Seeded(&'a [usize]),
+    /// Anytime search: explore at most this many nodes and return the
+    /// best cover found so far; [`SolveStats::proven_optimal`] reports
+    /// whether the search completed. The budget is split across subtree
+    /// tasks in deterministic contiguous slices, so the result at a
+    /// given budget is identical at every thread count, and a bigger
+    /// budget never returns a worse cover.
+    Budget(u64),
+}
+
 /// Search statistics from the exact solver.
 ///
 /// Every field is identical at every thread count except [`steals`]
@@ -109,7 +149,7 @@ pub struct SolveStats {
     /// Subtrees pruned by the lower bound.
     pub bound_prunes: u64,
     /// Subtrees pruned by the warm-start seed bound (0 unless the solve
-    /// was seeded via [`CoverMatrix::solve_exact_seeded`]).
+    /// was seeded via [`Search::Seeded`]).
     pub seed_prunes: u64,
     /// Times the incumbent (best cover so far) improved during the
     /// search — 0 means the greedy seed was already optimal.
@@ -139,20 +179,34 @@ impl PartialEq for SolveStats {
         // `steals` and `dominance_ns` are deliberately left out: they
         // vary run-to-run, and two solves that explored the same tree
         // must compare equal.
-        self.nodes == other.nodes
-            && self.essentials == other.essentials
-            && self.dominated_columns == other.dominated_columns
-            && self.dominated_rows == other.dominated_rows
-            && self.bound_prunes == other.bound_prunes
-            && self.seed_prunes == other.seed_prunes
-            && self.incumbent_updates == other.incumbent_updates
-            && self.subtrees == other.subtrees
-            && self.shared_bound_tightenings == other.shared_bound_tightenings
-            && self.proven_optimal == other.proven_optimal
+        self.counters() == other.counters()
     }
 }
 
 impl Eq for SolveStats {}
+
+impl SolveStats {
+    /// The schedule-independent fields as `covering.*` counters — the
+    /// one list every metrics consumer reads. `steals` and
+    /// `dominance_ns` are left out: they vary run to run.
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
+            ("covering.bnb_nodes", self.nodes),
+            ("covering.essentials", self.essentials),
+            ("covering.dominated_columns", self.dominated_columns),
+            ("covering.dominated_rows", self.dominated_rows),
+            ("covering.bound_prunes", self.bound_prunes),
+            ("covering.seed_prunes", self.seed_prunes),
+            ("covering.incumbent_updates", self.incumbent_updates),
+            ("covering.subtrees", self.subtrees),
+            (
+                "covering.shared_bound_tightenings",
+                self.shared_bound_tightenings,
+            ),
+            ("covering.proven_optimal", u64::from(self.proven_optimal)),
+        ]
+    }
+}
 
 /// A weighted unate covering matrix.
 ///
@@ -313,139 +367,36 @@ impl CoverMatrix {
         Ok(cost)
     }
 
-    /// Exact minimum-weight cover via branch-and-bound.
+    /// Minimum-weight cover via branch-and-bound, run as `search` asks:
+    /// to completion ([`Search::Exact`]), to completion warm-started from
+    /// a known cover ([`Search::Seeded`]), or within a node budget
+    /// ([`Search::Budget`]).
+    ///
+    /// The root expands into subtree tasks swept over `exec`
+    /// (`&Executor::serial()` for a single-threaded solve). The cover,
+    /// and every deterministic [`SolveStats`] field, is byte-identical
+    /// at every thread count; only wall clock,
+    /// [`steals`](SolveStats::steals) and
+    /// [`dominance_ns`](SolveStats::dominance_ns) vary. The search polls
+    /// `exec`'s [`cancel_token`](Executor::cancel_token) at each node;
+    /// once it is cancelled the search stops as if out of node budget,
+    /// and the returned cover is valid but not proven optimal.
     ///
     /// # Errors
     ///
     /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact(&self) -> Result<Cover, CoverError> {
-        self.solve_exact_with_stats().map(|(c, _)| c)
-    }
-
-    /// [`solve_exact`](Self::solve_exact) with the subtree sweep run on
-    /// `exec`. The cover (and every deterministic [`SolveStats`] field)
-    /// is byte-identical at every thread count; only wall clock, the
-    /// [`steals`](SolveStats::steals) counter, and
-    /// [`dominance_ns`](SolveStats::dominance_ns) vary.
-    ///
-    /// Every `*_on` solve polls `exec`'s
-    /// [`cancel_token`](Executor::cancel_token) at each search node; once
-    /// it is cancelled the search stops as if out of node budget, and
-    /// the returned cover is valid but not proven optimal.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_on(&self, exec: &Executor) -> Result<Cover, CoverError> {
-        self.solve_exact_with_stats_on(exec).map(|(c, _)| c)
-    }
-
-    /// Like [`solve_exact`](Self::solve_exact) but also returns search
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_with_stats(&self) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_anytime(u64::MAX)
-    }
-
-    /// [`solve_exact_with_stats`](Self::solve_exact_with_stats) on a
-    /// caller-provided executor.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_with_stats_on(
+    pub fn solve(
         &self,
+        search: Search<'_>,
         exec: &Executor,
     ) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_anytime_on(u64::MAX, exec)
-    }
-
-    /// Anytime variant of the exact solver: explores at most `node_limit`
-    /// branch-and-bound nodes and returns the best cover found so far.
-    /// [`SolveStats::proven_optimal`] reports whether the search
-    /// completed (it always does when the limit is not hit).
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_anytime(&self, node_limit: u64) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_inner(node_limit, None, &Executor::serial())
-    }
-
-    /// [`solve_anytime`](Self::solve_anytime) on a caller-provided
-    /// executor. The node budget is split across subtree tasks in
-    /// deterministic contiguous slices, so the result at a given budget
-    /// is identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_anytime_on(
-        &self,
-        node_limit: u64,
-        exec: &Executor,
-    ) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_inner(node_limit, None, exec)
-    }
-
-    /// Exact solve warm-started from a known cover: `seed_columns` must
-    /// be a feasible cover of this matrix (e.g. the selection from a
-    /// previous solve over a lightly edited instance). Its cost `B` is an
-    /// upper bound on the optimum, so subtrees whose lower bound already
-    /// exceeds `B` are pruned without waiting for the incumbent to
-    /// tighten — on a near-unchanged matrix most of the tree dies at the
-    /// root.
-    ///
-    /// **Result-identical to
-    /// [`solve_exact_with_stats`](Self::solve_exact_with_stats)**: the
-    /// seed influences pruning
-    /// only, never the incumbent, and the extra prune is strict
-    /// (`cost + lb > B`), so it can only remove subtrees in which every
-    /// solution costs strictly more than the known cover — never the
-    /// first-visited optimum the unseeded search would return. The one
-    /// place this could diverge is a pruned subtree whose bound lies
-    /// within floating-point noise of `B` (a tight bound on the optimum's
-    /// own path evaluates a few ulps above `B` on large weights); the
-    /// search tracks the minimum pruned bound and falls back to a plain
-    /// unseeded solve whenever a prune lands inside a dead band that
-    /// scales with `B`'s magnitude, so the guarantee holds
-    /// unconditionally. Only [`SolveStats`] may differ (fewer nodes,
-    /// `seed_prunes > 0`).
-    ///
-    /// An infeasible or invalid `seed_columns` is not an error: the seed
-    /// is ignored and the plain exact solve runs.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_seeded(
-        &self,
-        seed_columns: &[usize],
-    ) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_exact_seeded_on(seed_columns, &Executor::serial())
-    }
-
-    /// [`solve_exact_seeded`](Self::solve_exact_seeded) on a
-    /// caller-provided executor. The warm-start identity holds at every
-    /// thread count: the seed filters subtree tasks at deterministic
-    /// expansion time (never at racy pickup time), and the relative
-    /// dead-band fallback re-runs the whole solve cold on the same
-    /// executor.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_seeded_on(
-        &self,
-        seed_columns: &[usize],
-        exec: &Executor,
-    ) -> Result<(Cover, SolveStats), CoverError> {
-        match self.validate_cover(seed_columns) {
-            Ok(bound) if bound.is_finite() => self.solve_inner(u64::MAX, Some(bound), exec),
-            _ => self.solve_inner(u64::MAX, None, exec),
+        match search {
+            Search::Exact => self.solve_inner(u64::MAX, None, exec),
+            Search::Budget(node_limit) => self.solve_inner(node_limit, None, exec),
+            Search::Seeded(seed_columns) => match self.validate_cover(seed_columns) {
+                Ok(bound) if bound.is_finite() => self.solve_inner(u64::MAX, Some(bound), exec),
+                _ => self.solve_inner(u64::MAX, None, exec),
+            },
         }
     }
 
@@ -1192,7 +1143,7 @@ const MIN_SUBTREE_TASKS: usize = 8;
 /// Relative dead band around a bound `b` inside which floating-point
 /// comparisons against it are not trustworthy (a few ulps of summation
 /// noise on large weights); scales with the magnitude, see
-/// [`CoverMatrix::solve_exact_seeded`].
+/// [`Search::Seeded`].
 fn band(b: f64) -> f64 {
     1e-9 * b.abs().max(1.0)
 }
@@ -1385,10 +1336,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn solve(m: &CoverMatrix, search: Search<'_>) -> Result<(Cover, SolveStats), CoverError> {
+        m.solve(search, &Executor::serial())
+    }
+
+    fn exact(m: &CoverMatrix) -> Result<Cover, CoverError> {
+        solve(m, Search::Exact).map(|(c, _)| c)
+    }
+
     #[test]
     fn empty_matrix_has_empty_cover() {
         let m = CoverMatrix::new(0);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert!(c.columns.is_empty());
         assert_eq!(c.cost, 0.0);
         assert!(m.solve_greedy().unwrap().columns.is_empty());
@@ -1399,7 +1358,7 @@ mod tests {
     fn single_row_single_column() {
         let mut m = CoverMatrix::new(1);
         m.add_column(3.0, [0]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![0]);
         assert_eq!(c.cost, 3.0);
     }
@@ -1408,7 +1367,7 @@ mod tests {
     fn infeasible_row_reported() {
         let mut m = CoverMatrix::new(2);
         m.add_column(1.0, [0]);
-        assert_eq!(m.solve_exact(), Err(CoverError::Infeasible(1)));
+        assert_eq!(exact(&m), Err(CoverError::Infeasible(1)));
         assert_eq!(m.solve_greedy(), Err(CoverError::Infeasible(1)));
         assert_eq!(m.solve_exhaustive(), Err(CoverError::Infeasible(1)));
     }
@@ -1420,7 +1379,7 @@ mod tests {
         m.add_column(2.0, [1]);
         m.add_column(2.0, [2]);
         m.add_column(7.0, [0, 1, 2]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![0, 1, 2]);
         assert_eq!(c.cost, 6.0);
     }
@@ -1432,7 +1391,7 @@ mod tests {
         m.add_column(3.0, [1]);
         m.add_column(3.0, [2]);
         m.add_column(7.0, [0, 1, 2]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![3]);
         assert_eq!(c.cost, 7.0);
     }
@@ -1446,7 +1405,7 @@ mod tests {
         m.add_column(1.0, [2, 3]);
         let g = m.solve_greedy().unwrap();
         assert!(m.validate_cover(&g.columns).is_ok());
-        let e = m.solve_exact().unwrap();
+        let e = exact(&m).unwrap();
         assert_eq!(e.cost, 3.0);
         assert!(g.cost >= e.cost);
     }
@@ -1489,12 +1448,12 @@ mod tests {
         m.add_column(3.0, [1]);
         m.add_column(3.0, [2]);
         m.add_column(7.0, [0, 1, 2]); // optimal when present
-        assert_eq!(m.solve_exact().unwrap().columns, vec![3]);
+        assert_eq!(exact(&m).unwrap().columns, vec![3]);
 
         let (sub, map) = m.without_columns(&[3]);
         assert_eq!(sub.n_cols(), 3);
         assert_eq!(map, vec![0, 1, 2]);
-        let c = sub.solve_exact().unwrap();
+        let c = exact(&sub).unwrap();
         assert_eq!(c.cost, 9.0);
         let original: Vec<usize> = c.columns.iter().map(|&i| map[i]).collect();
         assert_eq!(original, vec![0, 1, 2]);
@@ -1509,7 +1468,7 @@ mod tests {
         m.add_column(1.0, [1]);
         let (sub, map) = m.without_columns(&[1]);
         assert_eq!(map, vec![0]);
-        assert_eq!(sub.solve_exact(), Err(CoverError::Infeasible(1)));
+        assert_eq!(exact(&sub), Err(CoverError::Infeasible(1)));
     }
 
     #[test]
@@ -1519,7 +1478,7 @@ mod tests {
         m.add_column(2.0, [0]);
         let (sub, map) = m.without_columns(&[0, 0]);
         assert_eq!(map, vec![1]);
-        assert_eq!(sub.solve_exact().unwrap().cost, 2.0);
+        assert_eq!(exact(&sub).unwrap().cost, 2.0);
     }
 
     #[test]
@@ -1535,7 +1494,7 @@ mod tests {
         let mut m = CoverMatrix::new(2);
         m.add_column(1.0, [0]); // essential for row 0
         m.add_column(1.0, [1]); // essential for row 1
-        let (c, stats) = m.solve_exact_with_stats().unwrap();
+        let (c, stats) = solve(&m, Search::Exact).unwrap();
         assert_eq!(c.cost, 2.0);
         assert!(stats.essentials >= 1);
         assert!(stats.nodes >= 1);
@@ -1546,7 +1505,7 @@ mod tests {
         let mut m = CoverMatrix::new(2);
         m.add_column(4.0, [0, 1]);
         m.add_column(4.0, [0, 1]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns.len(), 1);
         assert_eq!(c.cost, 4.0);
     }
@@ -1556,7 +1515,7 @@ mod tests {
         let mut m = CoverMatrix::new(1);
         m.add_column(0.1, std::iter::empty());
         m.add_column(5.0, [0]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![1]);
     }
 
@@ -1566,7 +1525,7 @@ mod tests {
         m.add_column(3.5, [0, 1, 2, 3]);
         m.add_column(2.0, [0, 1]);
         m.add_column(1.0, [2, 3]);
-        let (cover, stats) = m.solve_anytime(0).unwrap();
+        let (cover, stats) = solve(&m, Search::Budget(0)).unwrap();
         assert!(!stats.proven_optimal);
         assert!(m.validate_cover(&cover.columns).is_ok());
         // Zero exploration → the greedy seed comes back.
@@ -1580,7 +1539,7 @@ mod tests {
         m.add_column(2.0, [1]);
         m.add_column(2.0, [2]);
         m.add_column(7.0, [0, 1, 2]);
-        let (cover, stats) = m.solve_anytime(u64::MAX).unwrap();
+        let (cover, stats) = solve(&m, Search::Budget(u64::MAX)).unwrap();
         assert!(stats.proven_optimal);
         assert_eq!(cover.cost, 6.0);
     }
@@ -1598,7 +1557,7 @@ mod tests {
         m.add_column(9.0, [1, 3, 5]);
         let mut last = f64::INFINITY;
         for budget in [0u64, 2, 8, 32, 1 << 20] {
-            let (cover, _) = m.solve_anytime(budget).unwrap();
+            let (cover, _) = solve(&m, Search::Budget(budget)).unwrap();
             assert!(cover.cost <= last + 1e-9, "budget {budget} regressed");
             last = cover.cost;
         }
@@ -1611,14 +1570,14 @@ mod tests {
         m.add_column(3.5, [0, 1, 2, 3]);
         m.add_column(2.0, [0, 1]);
         m.add_column(1.0, [2, 3]);
-        let (cold, _) = m.solve_exact_with_stats().unwrap();
+        let (cold, _) = solve(&m, Search::Exact).unwrap();
         // Seed with the optimum itself: identical cover back.
-        let (warm, warm_stats) = m.solve_exact_seeded(&cold.columns).unwrap();
+        let (warm, warm_stats) = solve(&m, Search::Seeded(&cold.columns)).unwrap();
         assert_eq!(warm.columns, cold.columns);
         assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
         assert!(warm_stats.proven_optimal);
         // Seed with a valid but worse cover: still identical.
-        let (warm2, _) = m.solve_exact_seeded(&[0]).unwrap();
+        let (warm2, _) = solve(&m, Search::Seeded(&[0])).unwrap();
         assert_eq!(warm2.columns, cold.columns);
     }
 
@@ -1627,13 +1586,13 @@ mod tests {
         let mut m = CoverMatrix::new(2);
         m.add_column(1.0, [0]);
         m.add_column(1.0, [1]);
-        let (cold, _) = m.solve_exact_with_stats().unwrap();
+        let (cold, _) = solve(&m, Search::Exact).unwrap();
         // Not a cover (misses row 1) and an out-of-range column: both
         // fall back to the plain solve instead of erroring.
-        let (a, s) = m.solve_exact_seeded(&[0]).unwrap();
+        let (a, s) = solve(&m, Search::Seeded(&[0])).unwrap();
         assert_eq!(a.columns, cold.columns);
         assert_eq!(s.seed_prunes, 0);
-        let (b, _) = m.solve_exact_seeded(&[99]).unwrap();
+        let (b, _) = solve(&m, Search::Seeded(&[99])).unwrap();
         assert_eq!(b.columns, cold.columns);
     }
 
@@ -1662,7 +1621,7 @@ mod tests {
         /// Exact solver matches the exhaustive oracle on random instances.
         #[test]
         fn exact_matches_oracle(m in random_instance()) {
-            match (m.solve_exact(), m.solve_exhaustive()) {
+            match (exact(&m), m.solve_exhaustive()) {
                 (Ok(e), Ok(o)) => {
                     // Relative tolerance: at million-scale weights a few
                     // ulps of summation noise exceed any absolute epsilon.
@@ -1680,7 +1639,7 @@ mod tests {
         fn greedy_valid_and_no_better_than_exact(m in random_instance()) {
             if let Ok(g) = m.solve_greedy() {
                 prop_assert!(m.validate_cover(&g.columns).is_ok());
-                let e = m.solve_exact().unwrap();
+                let e = exact(&m).unwrap();
                 prop_assert!(g.cost >= e.cost - 1e-9 * e.cost.abs().max(1.0));
             }
         }
@@ -1691,9 +1650,9 @@ mod tests {
         #[test]
         fn seeded_is_bit_identical_to_unseeded(m in random_instance()) {
             if let Ok(g) = m.solve_greedy() {
-                let (cold, _) = m.solve_exact_with_stats().unwrap();
+                let (cold, _) = solve(&m, Search::Exact).unwrap();
                 for seed in [&g.columns, &cold.columns] {
-                    let (warm, _) = m.solve_exact_seeded(seed).unwrap();
+                    let (warm, _) = solve(&m, Search::Seeded(seed)).unwrap();
                     prop_assert_eq!(&warm.columns, &cold.columns);
                     prop_assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
                 }

@@ -7,7 +7,7 @@
 //! workers and require bit-for-bit agreement; scheduling may only show
 //! in `steals`/`dominance_ns`, which `SolveStats`' equality ignores.
 
-use ccs_covering::{CoverMatrix, SolveStats};
+use ccs_covering::{CoverMatrix, Search, SolveStats};
 use ccs_exec::Executor;
 use proptest::prelude::*;
 
@@ -54,21 +54,21 @@ proptest! {
     /// thread count.
     #[test]
     fn exact_is_thread_count_invariant(m in random_instance()) {
-        match m.solve_exact_with_stats_on(&Executor::new(1)) {
+        match m.solve(Search::Exact, &Executor::new(1)) {
             Ok(reference) => {
                 for t in THREADS {
-                    let got = m.solve_exact_with_stats_on(&Executor::new(t)).unwrap();
+                    let got = m.solve(Search::Exact, &Executor::new(t)).unwrap();
                     assert_identical(&format!("threads={t}"), &reference, &got);
                 }
-                // The executor-less API is the serial executor.
-                let plain = m.solve_exact_with_stats().unwrap();
-                assert_identical("plain", &reference, &plain);
+                // The serial executor runs the same search inline.
+                let plain = m.solve(Search::Exact, &Executor::serial()).unwrap();
+                assert_identical("serial", &reference, &plain);
             }
             Err(e) => {
                 // Infeasible instances must fail identically everywhere.
                 for t in THREADS {
                     prop_assert_eq!(
-                        m.solve_exact_with_stats_on(&Executor::new(t)).unwrap_err(),
+                        m.solve(Search::Exact, &Executor::new(t)).unwrap_err(),
                         e.clone()
                     );
                 }
@@ -80,14 +80,14 @@ proptest! {
     /// with both a greedy seed and the optimum itself.
     #[test]
     fn seeded_is_thread_count_invariant(m in random_instance()) {
-        if let Ok(cold) = m.solve_exact_with_stats_on(&Executor::new(1)) {
+        if let Ok(cold) = m.solve(Search::Exact, &Executor::new(1)) {
             let greedy = m.solve_greedy().unwrap();
             for seed in [&greedy.columns, &cold.0.columns] {
-                let warm1 = m.solve_exact_seeded_on(seed, &Executor::new(1)).unwrap();
+                let warm1 = m.solve(Search::Seeded(seed), &Executor::new(1)).unwrap();
                 prop_assert_eq!(&warm1.0.columns, &cold.0.columns);
                 prop_assert_eq!(warm1.0.cost.to_bits(), cold.0.cost.to_bits());
                 for t in THREADS {
-                    let got = m.solve_exact_seeded_on(seed, &Executor::new(t)).unwrap();
+                    let got = m.solve(Search::Seeded(seed), &Executor::new(t)).unwrap();
                     assert_identical(&format!("seeded threads={t}"), &warm1, &got);
                 }
             }
@@ -102,9 +102,9 @@ proptest! {
         if m.solve_greedy().is_ok() {
             let mut last = f64::INFINITY;
             for budget in [0u64, 3, 10, 100, u64::MAX] {
-                let reference = m.solve_anytime_on(budget, &Executor::new(1)).unwrap();
+                let reference = m.solve(Search::Budget(budget), &Executor::new(1)).unwrap();
                 for t in THREADS {
-                    let got = m.solve_anytime_on(budget, &Executor::new(t)).unwrap();
+                    let got = m.solve(Search::Budget(budget), &Executor::new(t)).unwrap();
                     assert_identical(&format!("budget={budget} threads={t}"), &reference, &got);
                 }
                 prop_assert!(
@@ -132,7 +132,7 @@ fn structured_instance_spawns_subtrees_and_stays_identical() {
             w += 1;
         }
     }
-    let reference = m.solve_exact_with_stats_on(&Executor::new(1)).unwrap();
+    let reference = m.solve(Search::Exact, &Executor::new(1)).unwrap();
     assert!(
         reference.1.subtrees > 0,
         "expected a real root split, got {:?}",
@@ -140,7 +140,7 @@ fn structured_instance_spawns_subtrees_and_stays_identical() {
     );
     assert!(reference.1.proven_optimal);
     for t in [2usize, 4, 8] {
-        let got = m.solve_exact_with_stats_on(&Executor::new(t)).unwrap();
+        let got = m.solve(Search::Exact, &Executor::new(t)).unwrap();
         assert_eq!(got.0.columns, reference.0.columns);
         assert_eq!(got.0.cost.to_bits(), reference.0.cost.to_bits());
         assert_eq!(got.1, reference.1);
@@ -168,11 +168,11 @@ fn padded_instance_sweeps_on_workers_and_stays_identical() {
         m.add_column(2.0, [r]);
     }
     assert!(m.n_cols() >= 128, "must exceed the serial-sweep threshold");
-    let reference = m.solve_exact_with_stats_on(&Executor::new(1)).unwrap();
+    let reference = m.solve(Search::Exact, &Executor::new(1)).unwrap();
     assert!(reference.1.subtrees > 0, "{:?}", reference.1);
     assert!(reference.1.proven_optimal);
     for t in [2usize, 4, 8] {
-        let got = m.solve_exact_with_stats_on(&Executor::new(t)).unwrap();
+        let got = m.solve(Search::Exact, &Executor::new(t)).unwrap();
         assert_eq!(got.0.columns, reference.0.columns);
         assert_eq!(got.0.cost.to_bits(), reference.0.cost.to_bits());
         assert_eq!(got.1, reference.1);

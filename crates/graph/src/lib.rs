@@ -4,10 +4,8 @@
 //! (Def. 2.1) and the *implementation graph* (Def. 2.4) — are plain
 //! directed multigraphs with payloads on vertices and arcs. This crate
 //! provides exactly that: an arena-allocated digraph with stable integer
-//! ids, plus the traversals the synthesis pipeline and its verifier need
-//! (BFS/DFS, Dijkstra, topological sort, weak connectivity) and DOT export
-//! for inspecting results. Nothing here knows about communication
-//! semantics; that lives in `ccs-core`.
+//! ids and DOT export for inspecting results. Nothing here knows about
+//! communication semantics; that lives in `ccs-core`.
 //!
 //! # Examples
 //!
@@ -25,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algo;
 pub mod dot;
 
 use std::fmt;

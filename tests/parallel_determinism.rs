@@ -185,3 +185,29 @@ fn placement_solver_counters_are_thread_invariant() {
         }
     }
 }
+
+/// The covering counters are named once, by `SolveStats::counters`:
+/// every one of them reaches both the run's own counter map and the
+/// recorded metrics, with the solver's value.
+#[test]
+fn covering_counters_reach_every_consumer() {
+    use ccs::obs::scope::{enter, RequestObs};
+    use ccs::obs::{Collector, Record};
+    use std::sync::Arc;
+
+    let g = wan::paper_instance();
+    let lib = wan::paper_library();
+    let collector = Collector::new();
+    let guard = enter(RequestObs::new(
+        Some(collector.clone() as Arc<dyn Record>),
+        None,
+    ));
+    let r = Synthesizer::new(&g, &lib).run().expect("synthesis");
+    drop(guard);
+    let recorded = collector.snapshot().counters;
+    let stats = r.stats.ucp_stats.expect("exact solve reports stats");
+    for (name, value) in stats.counters() {
+        assert_eq!(r.stats.counters.get(name), Some(&value), "{name} in stats");
+        assert_eq!(recorded.get(name), Some(&value), "{name} in metrics");
+    }
+}

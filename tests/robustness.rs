@@ -221,3 +221,45 @@ fn synthesis_is_deterministic() {
     );
     assert_eq!(a.implementation.to_dot("x"), b.implementation.to_dot("x"));
 }
+
+/// Finite coordinates of 1e300 overflow the Euclidean arc distance to
+/// infinity. Every path that builds a constraint graph must reject that
+/// with a typed error rather than panic in point-to-point planning.
+#[test]
+fn overflowing_distance_is_a_builder_error() {
+    use ccs::core::error::BuildError;
+    let mut b = ConstraintGraph::builder(Norm::Euclidean);
+    let p0 = b.add_port("A", Point2::ORIGIN);
+    let p1 = b.add_port("B", Point2::new(1e300, 1e300));
+    assert_eq!(
+        b.add_channel(p0, p1, Bandwidth::from_mbps(10.0)),
+        Err(BuildError::NonFiniteDistance(p0, p1))
+    );
+}
+
+#[test]
+fn overflowing_distance_is_a_parse_error() {
+    let text = "ccs-instance v1\nnorm euclidean\nport A 0 0\nport B 1e300 1e300\nchannel 0 1 10\n";
+    let err = ccs::gen::io::instance_from_str(text).expect_err("distance overflows");
+    assert!(err.message.contains("too far apart"), "{err}");
+}
+
+#[test]
+fn overflowing_port_move_is_rejected_and_session_survives() {
+    let g = wan::paper_instance();
+    let lib = wan::paper_library();
+    let mut session = SynthesisSession::new(g, lib, SynthesisConfig::default());
+    let before = session.resynthesize(&[]).expect("cold fill");
+    let port = session.graph().port(PortId(1)).name.clone();
+    let err = session
+        .resynthesize(&[Edit::MovePort {
+            port,
+            position: Point2::new(1e300, 1e300),
+        }])
+        .expect_err("distance overflows");
+    assert!(matches!(err, SynthesisError::InvalidEdit(_)), "{err}");
+    // The rejected edit left the session untouched and usable.
+    let after = session.resynthesize(&[]).expect("session still usable");
+    assert_eq!(after.selected, before.selected);
+    assert_eq!(after.total_cost().to_bits(), before.total_cost().to_bits());
+}

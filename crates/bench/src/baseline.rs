@@ -3,7 +3,8 @@
 //! [`run_preset`] times a fixed set of pipeline workloads (median/IQR
 //! over repetitions, swept over thread counts, with per-run allocation
 //! deltas and one embedded `ccs-profile-v1` call tree per case) and
-//! renders the result as a `ccs-bench-v1` JSON document — written to
+//! renders the result, stamped with the host it ran on, as a
+//! `ccs-bench-v1` JSON document — written to
 //! `BENCH_<preset>.json` by the `ccs-bench` binary and committed as the
 //! repository's performance trajectory.
 //!
@@ -568,10 +569,55 @@ pub fn run_preset(preset: &str, reps: usize, threads: &[usize]) -> Result<Value,
         Value::Arr(threads.iter().map(|&t| num(t as u64)).collect()),
     );
     doc.insert("cases".to_string(), Value::Obj(cases_obj));
+    doc.insert("host".to_string(), host_stamp());
     // Process-lifetime allocator totals (zeros without the counting
     // allocator installed; `tracking` says which).
     doc.insert("alloc".to_string(), ccs_obs::alloc::stats().to_json());
     Ok(Value::Obj(doc))
+}
+
+/// The machine a document was recorded on: its core count
+/// (`available_parallelism`, what thread-scaling figures depend on), CPU
+/// model, compiler and source revision. A field that cannot be read is
+/// `"unknown"`; the revision is `"none"` outside a git checkout and ends
+/// in `-dirty` when the working tree has uncommitted changes.
+fn host_stamp() -> Value {
+    let command = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    // Only the working directory's own repository counts.
+    let git_rev = if std::path::Path::new(".git").exists() {
+        command("git", &["describe", "--always", "--dirty", "--abbrev=40"])
+    } else {
+        "none".to_string()
+    };
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let mut host = BTreeMap::new();
+    host.insert("available_parallelism".to_string(), num(cores as u64));
+    host.insert("cpu_model".to_string(), Value::Str(cpu_model));
+    host.insert(
+        "rustc".to_string(),
+        Value::Str(command("rustc", &["--version"])),
+    );
+    host.insert("git_rev".to_string(), Value::Str(git_rev));
+    Value::Obj(host)
 }
 
 /// One metric that regressed beyond tolerance.
@@ -1223,6 +1269,17 @@ mod tests {
                     "the warm run must actually reuse p2p candidates"
                 );
             }
+        }
+        // The document names the machine it was recorded on.
+        let host = doc.get("host").expect("host stamp");
+        assert!(
+            host.get("available_parallelism")
+                .and_then(Value::as_num)
+                .is_some_and(|n| n >= 1.0),
+            "core count is recorded"
+        );
+        for field in ["cpu_model", "rustc", "git_rev"] {
+            assert!(host.get(field).and_then(Value::as_str).is_some(), "{field}");
         }
         // Identity comparison of a real document is clean.
         assert_eq!(compare(&doc, &doc, 0.0, 0.0).unwrap(), Vec::new());

@@ -33,7 +33,8 @@ usage:
 
 run writes a ccs-bench-v1 document (medians/IQR over N repetitions per
 thread count, per-run allocation deltas, one embedded ccs-profile-v1
-call tree per case) to --out (default BENCH_<preset>.json, '-' for
+call tree per case, and a host stamp: core count, CPU model, rustc and
+git revision) to --out (default BENCH_<preset>.json, '-' for
 stdout). --profile-folded additionally writes the first case's call
 tree in folded-stack format for flamegraph rendering.
 

@@ -347,8 +347,12 @@ mod tests {
             .unwrap()
             .unwrap();
         cand.arcs = vec![0];
-        cand.segments
-            .retain(|s| s.arcs == vec![0] || s.arcs.len() > 1);
+        cand.segments = cand
+            .segments
+            .iter()
+            .filter(|s| s.arcs == vec![0] || s.arcs.len() > 1)
+            .cloned()
+            .collect();
         let imp = ImplementationGraph::build(&g, &lib, std::slice::from_ref(&cand));
         let v = verify(&g, &lib, &imp);
         assert!(

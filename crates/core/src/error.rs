@@ -106,6 +106,10 @@ pub enum SynthesisError {
     NoFeasibleLink(ArcId),
     /// Every feasible implementation exceeds the arc's hop bound.
     HopBoundInfeasible(ArcId),
+    /// The arc's cheapest implementation costs more than an `f64` can
+    /// hold (a finite but astronomically long channel), so no cover
+    /// over it can be priced.
+    NonFiniteCost(ArcId),
     /// The covering step failed (propagated from the UCP solver).
     Cover(ccs_covering::CoverError),
     /// The library violates Assumption 2.1 on this constraint graph, so
@@ -137,6 +141,10 @@ impl fmt::Display for SynthesisError {
             SynthesisError::HopBoundInfeasible(a) => {
                 write!(f, "every implementation of arc {a} exceeds its hop bound")
             }
+            SynthesisError::NonFiniteCost(a) => write!(
+                f,
+                "arc {a} has no finite-cost implementation (its cost overflows)"
+            ),
             SynthesisError::Cover(e) => write!(f, "covering step failed: {e}"),
             SynthesisError::AssumptionViolated(a, b) => write!(
                 f,

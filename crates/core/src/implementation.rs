@@ -391,7 +391,7 @@ impl Builder<'_> {
                 let mut src_path: HashMap<usize, Vec<NodeId>> = HashMap::new();
                 let mut dst_path: HashMap<usize, Vec<NodeId>> = HashMap::new();
                 let mut trunk_path: Option<Vec<NodeId>> = None;
-                for seg in &cand.segments {
+                for seg in cand.segments.iter() {
                     match (seg.from, seg.to) {
                         (Endpoint::Port(p), Endpoint::HubA) => {
                             let from_v = self.port_vertex[p.index()];

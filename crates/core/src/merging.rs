@@ -114,8 +114,10 @@ pub struct MergeConfig {
     /// the Weber/two-hub iteration. Sound — the gated candidates are
     /// exactly ones the dominance filter would discard after the solve
     /// (Def. 2.5) — so results are identical; only
-    /// `placement.solves_skipped` accounting changes. Disable via
-    /// `--no-lb-gate` to measure the gate or to debug it.
+    /// `placement.solves_skipped` accounting changes. The same switch
+    /// lets the placement kernel stop a solve once it certifies the
+    /// threshold ([`crate::placement::price_merge`]). Disable via
+    /// `--no-lb-gate` to measure both or to debug them.
     pub lb_gate: bool,
 }
 

@@ -19,6 +19,7 @@ use ccs_exec::ShardedCache;
 use ccs_geom::twohub::TwoHubProblem;
 use ccs_geom::weber::WeberProblem;
 use ccs_geom::{Norm, Point2};
+use std::sync::Arc;
 
 /// Lengths below this are treated as a coincident hub/port (no link).
 const ZERO_LEN: f64 = 1e-9;
@@ -94,8 +95,10 @@ pub struct Candidate {
     pub hub_a: Option<Point2>,
     /// Demux hub position (merging only).
     pub hub_b: Option<Point2>,
-    /// The costed segments.
-    pub segments: Vec<SegmentPlan>,
+    /// The costed segments. Shared, not copied, by every clone: a
+    /// priced candidate never changes, and warm re-synthesis hands the
+    /// same kept candidates to every run.
+    pub segments: Arc<[SegmentPlan]>,
     /// Which library nodes realize the hubs (merging only; meaningless
     /// for point-to-point candidates, where it stays `MuxDemux`).
     pub hub_hardware: HubHardware,
@@ -123,7 +126,8 @@ impl Candidate {
 /// # Errors
 ///
 /// Propagates [`best_plan`] errors — a point-to-point implementation must
-/// exist for synthesis to be feasible at all.
+/// exist for synthesis to be feasible at all — and returns
+/// [`SynthesisError::NonFiniteCost`] when the plan's cost overflows.
 pub fn point_to_point_candidate(
     graph: &ConstraintGraph,
     library: &Library,
@@ -135,6 +139,9 @@ pub fn point_to_point_candidate(
     let arc = graph.arc(id);
     let plan =
         crate::p2p::best_plan_limited(library, arc.distance, arc.bandwidth, arc.max_hops, id)?;
+    if !plan.cost.is_finite() {
+        return Err(SynthesisError::NonFiniteCost(id));
+    }
     let (from_pos, to_pos) = graph.arc_endpoints(id);
     let segment = SegmentPlan {
         from: Endpoint::Port(arc.src),
@@ -154,7 +161,7 @@ pub fn point_to_point_candidate(
         hub_hardware: HubHardware::MuxDemux,
         node_cost: 0.0,
         cost: plan.cost,
-        segments: vec![segment],
+        segments: Arc::new([segment]),
     })
 }
 
@@ -177,10 +184,21 @@ pub const DEFAULT_CACHE_PER_SHARD: usize = 512;
 /// deterministic by construction.
 #[derive(Debug, Default)]
 pub struct PlacementCache {
-    /// `[effective_rate, rate_floor]` per demand; an unroutable demand
-    /// has no effective rate and an infinite floor, so the first slot
-    /// holds `∞` for `None`.
-    rates: ShardedCache<u64, [f64; 2]>,
+    /// Everything placement needs to know about one demand, keyed by
+    /// its bit pattern.
+    rates: ShardedCache<u64, DemandRates>,
+}
+
+/// The per-demand prices [`PlacementCache`] memoizes.
+#[derive(Debug, Clone, Copy)]
+struct DemandRates {
+    /// [`effective_rate`], `∞` for an unroutable demand.
+    effective: f64,
+    /// [`rate_floor`].
+    floor: f64,
+    /// Whether [`best_plan`] can route a stretch of any length at this
+    /// demand (see [`routes_any_length`]).
+    any_length: bool,
 }
 
 impl PlacementCache {
@@ -212,25 +230,24 @@ impl PlacementCache {
         self.rates.evictions()
     }
 
-    /// Both prices of `demand`, computed together on a miss.
-    fn rates(&self, library: &Library, demand: Bandwidth) -> [f64; 2] {
+    /// Every price of `demand`, computed together on a miss.
+    fn rates(&self, library: &Library, demand: Bandwidth) -> DemandRates {
         self.rates
-            .get_or_insert_with(demand.as_mbps().to_bits(), || {
-                [
-                    effective_rate(library, demand).unwrap_or(f64::INFINITY),
-                    rate_floor(library, demand),
-                ]
+            .get_or_insert_with(demand.as_mbps().to_bits(), || DemandRates {
+                effective: effective_rate(library, demand).unwrap_or(f64::INFINITY),
+                floor: rate_floor(library, demand),
+                any_length: routes_any_length(library, demand),
             })
     }
 
     /// Memoized [`effective_rate`].
     pub fn effective_rate(&self, library: &Library, demand: Bandwidth) -> Option<f64> {
-        Some(self.rates(library, demand)[0]).filter(|r| r.is_finite())
+        Some(self.rates(library, demand).effective).filter(|r| r.is_finite())
     }
 
     /// Memoized [`rate_floor`].
     pub fn rate_floor(&self, library: &Library, demand: Bandwidth) -> f64 {
-        self.rates(library, demand)[1]
+        self.rates(library, demand).floor
     }
 
     /// Distinct demands priced so far.
@@ -299,6 +316,20 @@ pub fn rate_floor(library: &Library, demand: Bandwidth) -> f64 {
         })
         .min_by(f64::total_cmp)
         .unwrap_or(f64::INFINITY)
+}
+
+/// Whether [`best_plan`] routes `demand` over a stretch of every
+/// positive length: some link carries it whose lanes the library can
+/// split and join (one lane, or mux and demux on offer) and whose
+/// length cap, if any, repeaters can extend.
+fn routes_any_length(library: &Library, demand: Bandwidth) -> bool {
+    let repeaters = library.has_node(NodeKind::Repeater);
+    let muxdemux = muxdemux_cost(library).is_some();
+    library.links().any(|(_, l)| {
+        l.bandwidth.lanes_for(demand).is_some_and(|lanes| {
+            (lanes == 1 || muxdemux) && (l.max_length.is_infinite() || repeaters)
+        })
+    })
 }
 
 /// The cheapest hub hardware a merge can buy: a mux/demux pair or a
@@ -519,16 +550,144 @@ pub fn merge_candidate_explained(
     subset: &[usize],
     cache: &PlacementCache,
 ) -> Result<Result<Candidate, InfeasibleReason>, SynthesisError> {
+    match solve_merge(graph, library, subset, cache, None)? {
+        MergePricing::Solved(r) => Ok(r),
+        _ => unreachable!("only a dominance threshold stops a solve early"),
+    }
+}
+
+/// How [`price_merge`] settled a merge subset.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MergePricing {
+    /// [`merge_cost_lower_bound`] already reached the threshold, so
+    /// nothing was solved. The subset is dominated or infeasible.
+    Gated {
+        /// The bound.
+        lb: f64,
+    },
+    /// The placement kernel certified mid-solve that every
+    /// implementation reaches the threshold; the rest of the solve and
+    /// the segment costing were skipped. The subset is dominated.
+    Certified {
+        /// The certified lower bound on the subset's cost.
+        lb: f64,
+    },
+    /// Fully priced, as by [`merge_candidate_explained`].
+    Solved(Result<Candidate, InfeasibleReason>),
+}
+
+/// Prices `subset` against `threshold`, the cost at or above which its
+/// candidate would be dropped as dominated: the lower-bound gate first,
+/// then the placement solve with a kernel cutoff that stops it once the
+/// outcome is decided. A subset that is not gated or certified gets
+/// exactly [`merge_candidate_explained`]'s result.
+///
+/// The cutoff applies only when the full solve cannot come back
+/// infeasible — no member arc has a hop bound and every demand routes
+/// over any length — so a [`MergePricing::Certified`] subset is
+/// exactly one whose solved candidate would cost at least `threshold`.
+/// The kernel weighs each stretch by its [`effective_rate`], while any
+/// plan for it costs at least [`rate_floor`] per unit length; with
+/// `ρ = min rate_floor / effective_rate` over the member arcs and the
+/// trunk, every topology costs at least `node_floor + ρ·min f`, where
+/// `f` is the kernel's objective. The kernel therefore stops once it
+/// certifies `min f ≥ (threshold / (1 − 1e-9) − node_floor) / ρ`, and
+/// the certified bound carries the same `1 − 1e-9` slack as
+/// [`merge_cost_lower_bound`].
+///
+/// # Errors
+///
+/// Same contract as [`merge_candidate`].
+///
+/// # Panics
+///
+/// Panics if `subset` has fewer than two arcs or contains an invalid
+/// index.
+pub fn price_merge(
+    graph: &ConstraintGraph,
+    library: &Library,
+    subset: &[usize],
+    cache: &PlacementCache,
+    threshold: f64,
+) -> Result<MergePricing, SynthesisError> {
+    let lb = {
+        // One profiler call per subset, independent of chunking/threads.
+        let _profile = ccs_obs::profile::scope("lb_gate");
+        merge_cost_lower_bound(graph, library, subset, cache)
+    };
+    if lb >= threshold {
+        return Ok(MergePricing::Gated { lb });
+    }
+    solve_merge(graph, library, subset, cache, Some(threshold))
+}
+
+/// The kernel cutoff of [`price_merge`] and the bound a certificate
+/// above it proves.
+struct KernelCutoff {
+    cutoff: f64,
+    rho: f64,
+    node_floor: f64,
+}
+
+impl KernelCutoff {
+    /// The cutoff for a subset priced against `threshold`, or `None`
+    /// when a certificate could not stand in for the full solve.
+    fn new(
+        library: &Library,
+        cache: &PlacementCache,
+        arcs: &[(usize, &crate::constraint::Channel)],
+        trunk_demand: Bandwidth,
+        node_floor: f64,
+        threshold: f64,
+    ) -> Option<KernelCutoff> {
+        if arcs.iter().any(|(_, a)| a.max_hops.is_some()) {
+            return None;
+        }
+        let mut rho = f64::INFINITY;
+        for demand in arcs.iter().map(|(_, a)| a.bandwidth).chain([trunk_demand]) {
+            let r = cache.rates(library, demand);
+            if !r.any_length {
+                return None;
+            }
+            rho = rho.min(r.floor / r.effective);
+        }
+        (rho > 0.0 && rho.is_finite()).then(|| KernelCutoff {
+            cutoff: (threshold / (1.0 - 1e-9) - node_floor) / rho,
+            rho,
+            node_floor,
+        })
+    }
+
+    /// The lower bound on every implementation's cost that a kernel
+    /// certificate `cert` proves.
+    fn bound(&self, cert: f64) -> f64 {
+        (self.node_floor + self.rho * cert) * (1.0 - 1e-9)
+    }
+}
+
+/// The solve behind [`merge_candidate_explained`] and [`price_merge`]:
+/// with a `threshold`, the kernel may stop early with
+/// [`MergePricing::Certified`]; otherwise the result is always
+/// [`MergePricing::Solved`].
+fn solve_merge(
+    graph: &ConstraintGraph,
+    library: &Library,
+    subset: &[usize],
+    cache: &PlacementCache,
+    threshold: Option<f64>,
+) -> Result<MergePricing, SynthesisError> {
     assert!(subset.len() >= 2, "a merging needs at least two arcs");
     // One profiler call per subset, independent of chunking/threads.
     let _profile = ccs_obs::profile::scope("solve_merge");
 
+    let infeasible = |why| Ok(MergePricing::Solved(Err(why)));
+
     // Hub hardware on offer.
     let muxdemux_cost = muxdemux_cost(library);
     let switch_cost = library.node_cost(NodeKind::Switch);
-    if muxdemux_cost.is_none() && switch_cost.is_none() {
-        return Ok(Err(InfeasibleReason::NoHubHardware));
-    }
+    let Some(hub_floor) = node_floor(muxdemux_cost, switch_cost) else {
+        return infeasible(InfeasibleReason::NoHubHardware);
+    };
 
     let arcs: Vec<_> = subset
         .iter()
@@ -538,17 +697,20 @@ pub fn merge_candidate_explained(
 
     // Hub placement with per-length price weights.
     let Some(trunk_rate) = cache.effective_rate(library, trunk_demand) else {
-        return Ok(Err(InfeasibleReason::UnroutableDemand));
+        return infeasible(InfeasibleReason::UnroutableDemand);
     };
     let mut sources = Vec::with_capacity(arcs.len());
     let mut sinks = Vec::with_capacity(arcs.len());
     for (_, a) in &arcs {
         let Some(rate) = cache.effective_rate(library, a.bandwidth) else {
-            return Ok(Err(InfeasibleReason::UnroutableDemand));
+            return infeasible(InfeasibleReason::UnroutableDemand);
         };
         sources.push((graph.position(a.src), rate));
         sinks.push((graph.position(a.dst), rate));
     }
+    let cut = threshold
+        .and_then(|t| KernelCutoff::new(library, cache, &arcs, trunk_demand, hub_floor, t));
+    let star_anchors: Vec<(Point2, f64)> = sources.iter().chain(&sinks).copied().collect();
 
     // The reason reported when every attempted topology fails (each
     // failed attempt overwrites it, so the star's reason wins when both
@@ -557,14 +719,25 @@ pub fn merge_candidate_explained(
 
     // Topology 1: the general dumbbell (two hubs, mux/demux required).
     let dumbbell = if let Some(md) = muxdemux_cost {
-        let sol =
-            TwoHubProblem::new(sources.clone(), sinks.clone(), trunk_rate).solve(graph.norm());
+        let mut problem = TwoHubProblem::new(sources, sinks, trunk_rate);
+        if let Some(k) = &cut {
+            problem = problem.with_cutoff(k.cutoff);
+        }
+        let sol = problem.solve(graph.norm());
         if ccs_obs::enabled() {
             ccs_obs::counter("placement.twohub_solves", 1);
             ccs_obs::counter("placement.twohub_iterations", sol.iterations as u64);
             ccs_obs::counter("placement.solver_steps", sol.iterations as u64);
             ccs_obs::counter("placement.capped_solves", sol.capped as u64);
-            ccs_obs::gauge("placement.twohub_residual", sol.residual);
+            // A certified solve stops mid-stage, short of convergence.
+            if sol.certified.is_none() {
+                ccs_obs::gauge("placement.twohub_residual", sol.residual);
+            }
+        }
+        // The star costs no less than the dumbbell's optimum, so the
+        // certificate decides the subset.
+        if let (Some(cert), Some(k)) = (sol.certified, &cut) {
+            return Ok(MergePricing::Certified { lb: k.bound(cert) });
         }
         match build_merge(
             graph,
@@ -589,14 +762,21 @@ pub fn merge_candidate_explained(
 
     // Topology 2: the star (one shared hub). A single switch can realize
     // it; a co-located mux/demux pair is the fallback when the switch is
-    // absent or pricier.
-    let star_anchors: Vec<(Point2, f64)> = sources.iter().chain(&sinks).copied().collect();
-    let star_sol = WeberProblem::new(star_anchors).solve_detailed(graph.norm());
+    // absent or pricier. Its certificate decides the subset only when
+    // there is no dumbbell.
+    let mut problem = WeberProblem::new(star_anchors);
+    if let (Some(k), None) = (&cut, muxdemux_cost) {
+        problem = problem.with_cutoff(k.cutoff);
+    }
+    let star_sol = problem.solve_detailed(graph.norm());
     let star_hub = star_sol.hub;
     if ccs_obs::enabled() {
         ccs_obs::counter("placement.weber_solves", 1);
         ccs_obs::counter("placement.solver_steps", star_sol.iterations as u64);
         ccs_obs::counter("placement.capped_solves", star_sol.capped as u64);
+    }
+    if let (Some(cert), Some(k)) = (star_sol.certified, &cut) {
+        return Ok(MergePricing::Certified { lb: k.bound(cert) });
     }
     let star_hardware = match (switch_cost, muxdemux_cost) {
         (Some(s), Some(md)) if s <= md => Some((HubHardware::SingleSwitch, s)),
@@ -625,11 +805,11 @@ pub fn merge_candidate_explained(
         None => None,
     };
 
-    Ok(match (dumbbell, star) {
+    Ok(MergePricing::Solved(match (dumbbell, star) {
         (Some(d), Some(s)) => Ok(if s.cost < d.cost { s } else { d }),
         (Some(c), None) | (None, Some(c)) => Ok(c),
         (None, None) => Err(why),
-    })
+    }))
 }
 
 /// Prices one concrete merge topology; `Err(reason)` when some stretch
@@ -647,8 +827,7 @@ fn build_merge(
     hub_hardware: HubHardware,
 ) -> Result<Result<Candidate, InfeasibleReason>, SynthesisError> {
     let norm = graph.norm();
-    // Source branches, the trunk, destination branches: sized exactly,
-    // since kept candidates live on in session caches.
+    // Source branches, the trunk, destination branches.
     let mut segments = Vec::with_capacity(2 * arcs.len() + 1);
     let mut cost = node_cost;
 
@@ -738,7 +917,7 @@ fn build_merge(
         kind: CandidateKind::Merging { k: subset.len() },
         hub_a: Some(hub_a),
         hub_b: Some(hub_b),
-        segments,
+        segments: segments.into(),
         hub_hardware,
         node_cost,
         cost,
@@ -1132,6 +1311,119 @@ mod tests {
                     proptest::prop_assert!(lb <= c.cost * (1.0 + 1e-9), "lb {lb} > cost {}", c.cost);
                 }
             }
+        }
+
+        /// On random merges of 2–5 arcs, under every norm, with the
+        /// paper library, the capped library and its switch-only
+        /// variant, and against the dominance threshold as well as
+        /// thresholds around the solved cost: a subset the kernel
+        /// certifies costs at least the threshold (and its certified
+        /// bound) when fully solved, and a subset priced in full gets
+        /// exactly the full solve's result.
+        #[test]
+        fn certified_merges_cost_at_least_the_threshold(
+            ports in proptest::collection::vec((0.0..200.0f64, 0.0..200.0f64), 10),
+            arcs in proptest::collection::vec((0usize..10, 1usize..10, 2.0..10.0f64), 2..6),
+            frac in 0.5..1.0f64,
+        ) {
+            for norm in Norm::ALL {
+                let mut b = ConstraintGraph::builder(norm);
+                let ids: Vec<_> = ports
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(x, y))| b.add_port(format!("p{i}"), Point2::new(x, y)))
+                    .collect();
+                for &(s, hop, bw) in &arcs {
+                    b.add_channel(ids[s], ids[(s + hop) % ids.len()], mbps(bw)).unwrap();
+                }
+                let Ok(g) = b.build() else { continue };
+                let subset: Vec<usize> = (0..arcs.len()).collect();
+                for lib in [wan_paper_library(), capped_library(), capped_switch_library()] {
+                    let cache = PlacementCache::new();
+                    let full = merge_candidate_explained(&g, &lib, &subset, &cache).unwrap();
+                    let p2p: f64 = subset
+                        .iter()
+                        .map(|&i| point_to_point_candidate(&g, &lib, i).unwrap().cost)
+                        .sum();
+                    let mut thresholds = vec![p2p * (1.0 - 1e-6) - 1e-12];
+                    if let Ok(c) = &full {
+                        thresholds.extend([c.cost * frac, c.cost, c.cost * (1.0 + 1e-12)]);
+                    }
+                    for t in thresholds {
+                        match price_merge(&g, &lib, &subset, &cache, t).unwrap() {
+                            MergePricing::Gated { lb } => proptest::prop_assert!(lb >= t),
+                            MergePricing::Certified { lb } => {
+                                proptest::prop_assert!(lb >= t, "certified {lb} below {t}");
+                                let Ok(c) = &full else {
+                                    proptest::prop_assert!(false, "certified an infeasible merge");
+                                    unreachable!()
+                                };
+                                proptest::prop_assert!(c.cost >= t, "certified {lb}, cost {} < {t}", c.cost);
+                                proptest::prop_assert!(lb <= c.cost, "certified {lb} > cost {}", c.cost);
+                            }
+                            MergePricing::Solved(r) => proptest::prop_assert_eq!(&r, &full),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`capped_library`] without mux and demux: the switch star is the
+    /// only topology, so the star solve carries the cutoff.
+    fn capped_switch_library() -> Library {
+        Library::builder()
+            .link(Link::per_length_capped("radio", mbps(11.0), 30.0, 2000.0))
+            .link(Link::fixed_length(
+                "fiber",
+                Bandwidth::from_gbps(1.0),
+                25.0,
+                60_000.0,
+            ))
+            .node(NodeKind::Repeater, 4_000.0)
+            .node(NodeKind::Switch, 5_000.0)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn kernel_certifies_a_scattered_merge() {
+        // Three 10 Mb/s arcs criss-crossing a 60 km square: the bound's
+        // trunk and matching terms fall short of the members' sum, but
+        // the Euclidean kernel proves the merge no cheaper than going
+        // point to point.
+        let mut b = ConstraintGraph::builder(Norm::Euclidean);
+        let ends = [
+            (64.0, 83.0),
+            (42.0, 21.0),
+            (80.0, 50.0),
+            (83.0, 94.0),
+            (38.0, 53.0),
+            (59.0, 57.0),
+        ];
+        let ids: Vec<_> = ends
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| b.add_port(format!("p{i}"), Point2::new(x, y)))
+            .collect();
+        for pair in ids.chunks(2) {
+            b.add_channel(pair[0], pair[1], mbps(10.0)).unwrap();
+        }
+        let g = b.build().unwrap();
+        let lib = wan_paper_library();
+        let cache = PlacementCache::new();
+        let p2p: f64 = (0..3)
+            .map(|i| point_to_point_candidate(&g, &lib, i).unwrap().cost)
+            .sum();
+        let t = p2p * (1.0 - 1e-6) - 1e-12;
+        assert!(merge_cost_lower_bound(&g, &lib, &[0, 1, 2], &cache) < t);
+        let full = merge_candidate_explained(&g, &lib, &[0, 1, 2], &cache)
+            .unwrap()
+            .unwrap();
+        assert!(full.cost >= t, "the merge is dominated");
+        match price_merge(&g, &lib, &[0, 1, 2], &cache, t).unwrap() {
+            MergePricing::Certified { lb } => assert!(t <= lb && lb <= full.cost),
+            other => panic!("expected a certificate, got {other:?}"),
         }
     }
 

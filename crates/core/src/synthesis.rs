@@ -12,8 +12,9 @@
 //!    (a merging never cheaper than its members' point-to-point sum can
 //!    be dropped exactly) — subsets whose cheap geometric lower bound
 //!    ([`crate::placement::merge_cost_lower_bound`]) already reaches the
-//!    dominance threshold skip the solve outright
-//!    ([`MergeConfig::lb_gate`]);
+//!    dominance threshold skip the solve outright, and the rest stop
+//!    their placement solve once the kernel certifies the same
+//!    ([`crate::placement::price_merge`], [`MergeConfig::lb_gate`]);
 //! 5. weighted unate covering over all candidates ([`crate::cover`]);
 //! 6. assembly of the final implementation graph
 //!    ([`crate::implementation`]).
@@ -29,8 +30,8 @@ use crate::merging::{
     MergeStats,
 };
 use crate::placement::{
-    merge_candidate_explained, merge_cost_lower_bound, point_to_point_candidate, Candidate,
-    InfeasibleReason, PlacementCache, DEFAULT_CACHE_PER_SHARD,
+    merge_candidate_explained, point_to_point_candidate, price_merge, Candidate, InfeasibleReason,
+    MergePricing, PlacementCache, DEFAULT_CACHE_PER_SHARD,
 };
 use crate::units::Bandwidth;
 use ccs_exec::{CancelToken, ExecStats, Executor};
@@ -178,6 +179,11 @@ pub struct SynthesisStats {
     /// Weber/two-hub solver invocations avoided by the lower-bound gate
     /// (`lb_gated ×` solves one subset costs with this library).
     pub solves_skipped: u64,
+    /// Merge subsets whose placement solve stopped early on the
+    /// kernel's certificate ([`crate::placement::MergePricing::Certified`]).
+    /// A subset of [`dominated_dropped`](Self::dominated_dropped): each
+    /// is one the full solve would have dropped as dominated.
+    pub lb_certified: usize,
     /// Total candidate columns handed to the UCP.
     pub ucp_cols: usize,
     /// UCP rows (= arcs).
@@ -425,15 +431,12 @@ impl<'a> Synthesizer<'a> {
             .clone()
             .unwrap_or_else(|| Arc::new(PlacementCache::new()));
         let cache = &*cache;
-        // Lower-bound gate: a subset whose cheap geometric bound already
-        // reaches the dominance threshold below cannot yield a kept
-        // candidate (any real solve costs at least the bound), so the
-        // Weber/two-hub iteration is skipped outright. The decision is a
-        // pure function of the subset, so it is thread-count invariant.
-        enum Placed {
-            Gated { lb: f64 },
-            Done(Result<Candidate, InfeasibleReason>),
-        }
+        // Lower-bound gate and kernel certificate: a subset whose cheap
+        // geometric bound already reaches the dominance threshold below
+        // cannot yield a kept candidate, so its solve is skipped
+        // outright; the rest stop their solve once the placement kernel
+        // certifies the same. Both decisions are pure functions of the
+        // subset, so they are thread-count invariant.
         let lb_gate = self.config.merge.lb_gate && !self.config.keep_dominated;
         // A warm run reads clean subsets' verdicts straight from the
         // session cache (by reference: only a kept candidate is cloned,
@@ -456,20 +459,23 @@ impl<'a> Synthesizer<'a> {
                 return Err(SynthesisError::Cancelled);
             }
             if lb_gate {
-                // One profiler call per subset, independent of chunking.
-                let _profile = ccs_obs::profile::scope("lb_gate");
-                let lb = merge_cost_lower_bound(graph, library, s, cache);
-                if lb >= dominance_threshold(&candidates, s) {
-                    return Ok(Placed::Gated { lb });
-                }
+                price_merge(
+                    graph,
+                    library,
+                    s,
+                    cache,
+                    dominance_threshold(&candidates, s),
+                )
+            } else {
+                merge_candidate_explained(graph, library, s, cache).map(MergePricing::Solved)
             }
-            merge_candidate_explained(graph, library, s, cache).map(Placed::Done)
         });
         let ledger_on = ledger::enabled();
         let subset_arcs = |s: &[usize]| -> Vec<u32> { s.iter().map(|&i| i as u32).collect() };
         let mut infeasible = 0usize;
         let mut dominated = 0usize;
         let mut lb_gated = 0usize;
+        let mut lb_certified = 0usize;
         let mut verdicts_reused = 0u64;
         let mut new_verdicts = Vec::new();
         let mut placed = placed.into_iter();
@@ -484,9 +490,10 @@ impl<'a> Synthesizer<'a> {
                 None => {
                     let r = placed.next().expect("one result per fresh subset");
                     fresh_verdict = match r? {
-                        Placed::Gated { lb } => Verdict::Gated { lb },
-                        Placed::Done(Err(reason)) => Verdict::Infeasible(reason),
-                        Placed::Done(Ok(c)) => {
+                        MergePricing::Gated { lb } => Verdict::Gated { lb },
+                        MergePricing::Certified { lb } => Verdict::Certified { lb },
+                        MergePricing::Solved(Err(reason)) => Verdict::Infeasible(reason),
+                        MergePricing::Solved(Ok(c)) => {
                             if !self.config.keep_dominated
                                 && c.cost >= dominance_threshold(&candidates, subset)
                             {
@@ -538,20 +545,24 @@ impl<'a> Synthesizer<'a> {
                         ));
                     }
                 }
-                &Verdict::Dominated { cost } => {
+                &Verdict::Dominated { cost } | &Verdict::Certified { lb: cost } => {
+                    // A certified verdict records its bound as the cost.
+                    let certified = matches!(verdict, Verdict::Certified { .. });
                     dominated += 1;
+                    lb_certified += usize::from(certified);
                     if ledger_on {
                         let cause = if reused {
                             Cause::ResynthReused
                         } else {
                             Cause::PlacementDominated
                         };
+                        let via = if certified { ",via=kernel" } else { "" };
                         ledger::emit(DecisionEvent::new(
                             cause,
                             subset_arcs(subset),
                             cost,
                             member_sum(&candidates, subset),
-                            format!("k={}", subset.len()),
+                            format!("k={}{via}", subset.len()),
                         ));
                     }
                 }
@@ -599,6 +610,7 @@ impl<'a> Synthesizer<'a> {
         ccs_obs::counter("placement.infeasible_merges", infeasible as u64);
         ccs_obs::counter("placement.dominated_dropped", dominated as u64);
         ccs_obs::counter("placement.lb_gated", lb_gated as u64);
+        ccs_obs::counter("placement.lb_certified", lb_certified as u64);
         ccs_obs::counter("placement.solves_skipped", solves_skipped);
 
         if cancel.is_cancelled() {
@@ -686,6 +698,7 @@ impl<'a> Synthesizer<'a> {
                 infeasible,
                 dominated,
                 lb_gated,
+                lb_certified,
                 solves_skipped,
                 &outcome,
                 threads,
@@ -696,6 +709,7 @@ impl<'a> Synthesizer<'a> {
             dominated_dropped: dominated,
             lb_gated,
             solves_skipped,
+            lb_certified,
             ucp_cols: outcome.cols,
             ucp_rows: outcome.rows,
             ucp_stats: outcome.stats,
@@ -805,6 +819,9 @@ fn dominance_threshold(candidates: &[Candidate], subset: &[usize]) -> f64 {
 enum Verdict {
     /// Skipped by the lower-bound gate.
     Gated { lb: f64 },
+    /// Stopped mid-solve by the kernel's certificate: dominated, with
+    /// the certified bound.
+    Certified { lb: f64 },
     /// Structurally infeasible with this library.
     Infeasible(InfeasibleReason),
     /// Solved, but never cheaper than its members' p2p sum.
@@ -1250,6 +1267,7 @@ fn run_counters(
     infeasible: usize,
     dominated: usize,
     lb_gated: usize,
+    lb_certified: usize,
     solves_skipped: u64,
     outcome: &crate::cover::CoverOutcome,
     threads: usize,
@@ -1272,6 +1290,7 @@ fn run_counters(
     c.insert("placement.infeasible_merges".to_string(), infeasible as u64);
     c.insert("placement.dominated_dropped".to_string(), dominated as u64);
     c.insert("placement.lb_gated".to_string(), lb_gated as u64);
+    c.insert("placement.lb_certified".to_string(), lb_certified as u64);
     c.insert("placement.solves_skipped".to_string(), solves_skipped);
     c.insert("covering.rows".to_string(), outcome.rows as u64);
     c.insert("covering.cols".to_string(), outcome.cols as u64);

@@ -1,21 +1,89 @@
 //! A small fixed-capacity bitset used to represent row sets.
 
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+
 /// Fixed-capacity bitset over `0..len`.
 ///
 /// Row sets in the covering matrix are dense and small (one bit per
-/// constraint arc), so a flat `Vec<u64>` beats hash sets by a wide margin
-/// in the branch-and-bound inner loop.
+/// constraint arc), so flat words beat hash sets by a wide margin in the
+/// branch-and-bound inner loop. Sets of up to 128 elements keep their
+/// words inline, so building, cloning and dropping one never touches
+/// the heap.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitSet {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
+}
+
+/// Words kept inline up to this many.
+const INLINE_WORDS: usize = 2;
+
+/// A bitset's backing words: inline for small sets, else on the heap.
+/// Either way it reads as the slice of exactly the words in use.
+#[derive(Clone)]
+enum Words {
+    Inline(u8, [u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
+}
+
+impl Words {
+    fn zeroed(n: usize) -> Words {
+        if n <= INLINE_WORDS {
+            Words::Inline(n as u8, [0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; n])
+        }
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    #[inline(always)]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline(n, w) => &w[..usize::from(*n)],
+            Words::Heap(w) => w,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline(n, w) => &mut w[..usize::from(*n)],
+            Words::Heap(w) => w,
+        }
+    }
+}
+
+impl PartialEq for Words {
+    fn eq(&self, other: &Words) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Words {}
+
+impl Hash for Words {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl std::fmt::Debug for Words {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 impl BitSet {
     /// Creates an empty set with capacity for `len` elements.
     pub fn new(len: usize) -> Self {
         BitSet {
-            words: vec![0; len.div_ceil(64)],
+            words: Words::zeroed(len.div_ceil(64)),
             len,
         }
     }
@@ -88,7 +156,10 @@ impl BitSet {
 
     /// `self ∩ other` is non-empty.
     pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+        self.words
+            .iter()
+            .zip(other.words.iter())
+            .any(|(a, b)| a & b != 0)
     }
 
     /// `self ⊆ other`.
@@ -163,12 +234,21 @@ impl BitSet {
                 "assign_intersection requires equal capacity"
             );
         }
-        for (wi, w) in self.words.iter_mut().enumerate() {
-            let mut acc = sets[0].words[wi];
-            for s in &sets[1..] {
-                acc &= s.words[wi];
+        let out = &mut *self.words;
+        match sets {
+            [a, b] => {
+                for ((w, x), y) in out.iter_mut().zip(a.words.iter()).zip(b.words.iter()) {
+                    *w = x & y;
+                }
             }
-            *w = acc;
+            _ => {
+                out.copy_from_slice(&sets[0].words);
+                for s in &sets[1..] {
+                    for (w, x) in out.iter_mut().zip(s.words.iter()) {
+                        *w &= x;
+                    }
+                }
+            }
         }
     }
 
@@ -263,7 +343,7 @@ impl BitSet {
     pub fn iter_and<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
         self.words
             .iter()
-            .zip(&other.words)
+            .zip(other.words.iter())
             .enumerate()
             .flat_map(|(wi, (&a, &b))| word_members(wi, a & b))
     }

@@ -101,18 +101,15 @@ pub enum Search<'a> {
     /// tree dies at the root.
     ///
     /// **Result-identical to [`Search::Exact`]**: the seed influences
-    /// pruning only, never the incumbent, and the extra prune is strict
-    /// (`cost + lb > B`), so it can only remove subtrees in which every
-    /// solution costs strictly more than the known cover — never the
-    /// first-visited optimum the unseeded search would return. The one
-    /// place this could diverge is a pruned subtree whose bound lies
-    /// within floating-point noise of `B` (a tight bound on the
-    /// optimum's own path evaluates a few ulps above `B` on large
-    /// weights); the search tracks the minimum pruned bound and falls
-    /// back to a plain unseeded solve whenever a prune lands inside a
-    /// dead band that scales with `B`'s magnitude, so the guarantee
-    /// holds unconditionally, at every thread count. Only [`SolveStats`]
-    /// may differ (fewer nodes, `seed_prunes > 0`).
+    /// pruning only, never the incumbent, and the extra prune fires only
+    /// at `cost + lb > B + band(B)`, a dead band that scales with `B`'s
+    /// magnitude. It can only remove subtrees in which every solution
+    /// costs more than the known cover — never the first-visited
+    /// optimum the unseeded search would return, even where a tight
+    /// bound on the optimum's own path evaluates a few ulps above `B`.
+    /// The parallel sweep's shared-bound skip rests on the same band.
+    /// So the guarantee holds at every thread count, and only
+    /// [`SolveStats`] may differ (fewer nodes, `seed_prunes > 0`).
     ///
     /// An infeasible or invalid seed is not an error: it is ignored and
     /// the plain exact search runs.
@@ -432,11 +429,9 @@ impl CoverMatrix {
             best: start,
             mut stats,
             budget: remaining,
-            seed,
             ..
         } = ctx;
         stats.subtrees = tasks.len() as u64;
-        let mut min_pruned = seed.as_ref().map_or(f64::INFINITY, |s| s.min_pruned);
         let mut best = start.clone();
 
         if !tasks.is_empty() {
@@ -534,7 +529,6 @@ impl CoverMatrix {
                 stats.incumbent_updates += o.stats.incumbent_updates;
                 stats.dominance_ns += o.stats.dominance_ns;
                 stats.proven_optimal &= o.stats.proven_optimal;
-                min_pruned = min_pruned.min(o.min_pruned);
                 if let Some((c, cols)) = &o.best {
                     let improved = best.as_ref().is_none_or(|(g, _)| *c < *g);
                     if improved {
@@ -545,24 +539,6 @@ impl CoverMatrix {
             }
         }
 
-        if let Some(b) = seed_bound {
-            // Dead band around `B` where a seed prune is not trustworthy:
-            // `cost + lb` carries a few ulps of rounding error, so a
-            // subtree on the optimum's own path (where the dual-ascent
-            // bound is tight and `cost + lb` is mathematically exactly
-            // `B`) can evaluate fractionally above `B` and be pruned.
-            // The band must therefore scale with the bound's magnitude —
-            // an absolute epsilon silently breaks on million-scale
-            // weights. Any prune inside the band discards the seeded
-            // search entirely and redoes it cold, so identity with the
-            // unseeded solve is unconditional. (Subtrees the fold
-            // excluded can keep their seed prunes to themselves: their
-            // bound proves they hold nothing at or below the final
-            // cost, so no prune inside them can have hidden it.)
-            if min_pruned <= b + band(b) {
-                return self.solve_inner(node_limit, None, exec);
-            }
-        }
         let (cost, mut columns) = best.ok_or(CoverError::Infeasible(0))?;
         columns.sort_unstable();
         columns.dedup();
@@ -865,28 +841,19 @@ impl CoverMatrix {
             Reduced::Open { rows, cols, cost } => (rows, cols, cost),
         };
 
-        let mut lb_cache = None;
-        let mut lb_for = |rows: &BitSet, cols: &BitSet| {
-            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols, &mut ctx.scratch))
-        };
-        if let Some((bc, _)) = &ctx.best {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb >= *bc - 1e-12 {
-                ctx.stats.bound_prunes += 1;
-                ctx.chosen.truncate(chosen_mark);
-                return;
-            }
+        let beaten = |lb| incumbent_prunes(&ctx.best, cost, lb);
+        let lb = self.dual_ascent_bound(&rows, &cols, &mut ctx.scratch, beaten);
+        if beaten(lb) {
+            ctx.stats.bound_prunes += 1;
+            ctx.chosen.truncate(chosen_mark);
+            return;
         }
         // Warm-start prune, checked after (never instead of) the
         // incumbent prune: with `bound` the cost of a known feasible
-        // cover, a subtree whose every solution costs strictly more than
-        // it can never contain the answer. Strictly `>` — an exact tie
-        // with the seed must still be explored, because the unseeded
-        // search would explore it.
-        if let Some(s) = &mut ctx.seed {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb > s.bound {
-                s.min_pruned = s.min_pruned.min(cost + lb);
+        // cover, a subtree whose every solution costs more than it by
+        // more than rounding noise can never contain the answer.
+        if let Some(b) = ctx.seed_bound {
+            if seed_prunes(cost + lb, b) {
                 ctx.stats.seed_prunes += 1;
                 ctx.chosen.truncate(chosen_mark);
                 return;
@@ -917,12 +884,22 @@ impl CoverMatrix {
             ctx.child_rows.copy_from(&rows);
             ctx.child_rows.subtract(&self.cols[c]);
             let sub_cost = cost + self.weights[c];
-            // A child whose unreduced bound already meets the incumbent
-            // is pruned here, before paying for its reductions.
-            if let Some((bc, _)) = &ctx.best {
-                let lb = self.dual_ascent_bound(&ctx.child_rows, &excluded, &mut ctx.scratch);
-                if sub_cost + lb >= *bc - 1e-12 {
+            // A child whose unreduced bound already meets the incumbent,
+            // or clears the warm-start seed, is pruned here, before
+            // paying for its reductions.
+            if ctx.best.is_some() || ctx.seed_bound.is_some() {
+                let beaten = |lb| incumbent_prunes(&ctx.best, sub_cost, lb);
+                let lb =
+                    self.dual_ascent_bound(&ctx.child_rows, &excluded, &mut ctx.scratch, beaten);
+                if beaten(lb) {
                     ctx.stats.bound_prunes += 1;
+                    continue;
+                }
+                if ctx
+                    .seed_bound
+                    .is_some_and(|b| seed_prunes(sub_cost + lb, b))
+                {
+                    ctx.stats.seed_prunes += 1;
                     continue;
                 }
             }
@@ -995,21 +972,14 @@ impl CoverMatrix {
             Reduced::Open { rows, cols, cost } => (rows, cols, cost),
         };
 
-        let mut lb_cache = None;
-        let mut lb_for = |rows: &BitSet, cols: &BitSet| {
-            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols, &mut ctx.scratch))
-        };
-        if let Some((bc, _)) = &ctx.best {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb >= *bc - 1e-12 {
-                ctx.stats.bound_prunes += 1;
-                return;
-            }
+        let beaten = |lb| incumbent_prunes(&ctx.best, cost, lb);
+        let lb = self.dual_ascent_bound(&rows, &cols, &mut ctx.scratch, beaten);
+        if beaten(lb) {
+            ctx.stats.bound_prunes += 1;
+            return;
         }
-        if let Some(s) = &mut ctx.seed {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb > s.bound {
-                s.min_pruned = s.min_pruned.min(cost + lb);
+        if let Some(b) = ctx.seed_bound {
+            if seed_prunes(cost + lb, b) {
                 ctx.stats.seed_prunes += 1;
                 return;
             }
@@ -1028,16 +998,11 @@ impl CoverMatrix {
             sub_cols.remove(c);
             sub_rows.subtract(&self.cols[c]);
             let sub_cost = cost + self.weights[c];
-            let bound = sub_cost + self.dual_ascent_bound(&sub_rows, &sub_cols, &mut ctx.scratch);
-            if ctx
-                .best
-                .as_ref()
-                .is_some_and(|(bc, _)| bound >= *bc - 1e-12)
-            {
+            let lb = self.dual_ascent_bound(&sub_rows, &sub_cols, &mut ctx.scratch, |_| false);
+            let bound = sub_cost + lb;
+            if incumbent_prunes(&ctx.best, sub_cost, lb) {
                 ctx.stats.bound_prunes += 1;
-            } else if ctx.seed.as_ref().is_some_and(|s| bound > s.bound) {
-                let s = ctx.seed.as_mut().expect("checked above");
-                s.min_pruned = s.min_pruned.min(bound);
+            } else if ctx.seed_bound.is_some_and(|b| seed_prunes(bound, b)) {
                 ctx.stats.seed_prunes += 1;
             } else {
                 let mut sub_chosen = chosen.clone();
@@ -1076,7 +1041,6 @@ impl CoverMatrix {
             best: (ctx.stats.incumbent_updates > 0)
                 .then(|| ctx.best.expect("an incumbent update implies a best")),
             stats: ctx.stats,
-            min_pruned: ctx.seed.map_or(f64::INFINITY, |s| s.min_pruned),
             ran: true,
         }
     }
@@ -1088,7 +1052,19 @@ impl CoverMatrix {
     /// hardest-first; with disjoint rows this reduces to the classic
     /// maximal-independent-set bound, and it is strictly stronger when
     /// columns overlap.
-    fn dual_ascent_bound(&self, rows: &BitSet, cols: &BitSet, scratch: &mut Scratch) -> f64 {
+    ///
+    /// The ascent is order-sensitive: it runs hardest-first, then
+    /// easiest-first, and keeps the better bound — unless the first
+    /// bound already satisfies `enough` (the caller's prune test, which
+    /// the larger bound would pass too), in which case that one is
+    /// returned.
+    fn dual_ascent_bound(
+        &self,
+        rows: &BitSet,
+        cols: &BitSet,
+        scratch: &mut Scratch,
+        enough: impl Fn(f64) -> bool,
+    ) -> f64 {
         let by_row = self.by_row();
         let Scratch { order, slack, .. } = scratch;
         // Active rows by how many active columns cover them (stable, so
@@ -1115,20 +1091,31 @@ impl CoverMatrix {
             }
             bound
         };
-        // The ascent is order-sensitive; try hardest-first and
-        // easiest-first and keep the better bound.
         let fwd = ascend(&mut order.iter());
+        if enough(fwd) {
+            return fwd;
+        }
         fwd.max(ascend(&mut order.iter().rev()))
     }
 }
 
-/// Warm-start state threaded through the branch-and-bound: the seed
-/// cover's cost (a proven upper bound on the optimum) and the minimum
-/// `cost + lb` over subtrees it pruned, used post-search to detect the
-/// dead-band case where the seeded search must be discarded.
-struct SeedPrune {
-    bound: f64,
-    min_pruned: f64,
+/// Whether the incumbent `best` prunes a subtree of path cost `cost`
+/// whose remaining rows cost at least `lb`: only a strictly cheaper
+/// cover, beyond `1e-12` of noise, can still be found in it.
+fn incumbent_prunes(best: &Option<(f64, Vec<usize>)>, cost: f64, lb: f64) -> bool {
+    best.as_ref()
+        .is_some_and(|(bc, _)| cost + lb >= *bc - 1e-12)
+}
+
+/// Whether the warm-start seed, a feasible cover of cost `seed`, prunes
+/// a subtree whose solutions all cost at least `bound`: only when
+/// `bound` clears `seed` by more than [`band`]. A subtree on the
+/// optimum's own path has a bound that is mathematically at most the
+/// optimum, but its floating-point sum can land a few ulps above an
+/// optimal seed; the band keeps such subtrees, so the seeded search
+/// visits everything the unseeded one could return.
+fn seed_prunes(bound: f64, seed: f64) -> bool {
+    bound > seed + band(seed)
 }
 
 /// Matrices with fewer columns search serially from the root instead of
@@ -1197,9 +1184,6 @@ struct SubtreeOut {
     /// the shared starting cover.
     best: Option<(f64, Vec<usize>)>,
     stats: SolveStats,
-    /// Minimum `cost + lb` over the subtree's seed prunes (`∞` when
-    /// unseeded or nothing was pruned).
-    min_pruned: f64,
     /// `false` when the racy pickup skip dropped the task before it ran.
     ran: bool,
 }
@@ -1209,7 +1193,6 @@ impl SubtreeOut {
         SubtreeOut {
             best: None,
             stats: SolveStats::default(),
-            min_pruned: f64::INFINITY,
             ran: false,
         }
     }
@@ -1237,7 +1220,8 @@ struct SearchCtx<'a> {
     best: Option<(f64, Vec<usize>)>,
     stats: SolveStats,
     budget: u64,
-    seed: Option<SeedPrune>,
+    /// The warm-start seed's cost, when the search is seeded.
+    seed_bound: Option<f64>,
     /// Column choices on the current DFS path.
     chosen: Vec<usize>,
     /// Reduction scratch, reused across all nodes of this search.
@@ -1270,10 +1254,7 @@ impl<'a> SearchCtx<'a> {
                 ..SolveStats::default()
             },
             budget,
-            seed: seed_bound.map(|bound| SeedPrune {
-                bound,
-                min_pruned: f64::INFINITY,
-            }),
+            seed_bound,
             chosen: Vec::new(),
             scratch: Scratch {
                 covs: vec![BitSet::new(m.cols.len()); m.n_rows],
@@ -1581,6 +1562,30 @@ mod tests {
         assert_eq!(warm2.columns, cold.columns);
     }
 
+    /// An optimal seed's cost ties the optimum, so a tight bound on the
+    /// optimum's own path lands on (or a few ulps above) it: the seeded
+    /// search must keep those subtrees instead of redoing the solve.
+    #[test]
+    fn optimal_seed_never_costs_more_nodes_than_the_cold_solve() {
+        // Two disjoint optimal halves at million scale (real link costs)
+        // and dearer alternatives for each row pair.
+        let mut m = CoverMatrix::new(6);
+        m.add_column(1.1e6, [0, 1]);
+        m.add_column(2.3e6, [2, 3]);
+        m.add_column(3.7e6, [4, 5]);
+        m.add_column(1.5e6, [0, 2]);
+        m.add_column(1.9e6, [1, 3, 5]);
+        m.add_column(2.9e6, [4]);
+        m.add_column(7.4e6, [0, 1, 2, 3, 4, 5]);
+        let (cold, cold_stats) = solve(&m, Search::Exact).unwrap();
+        let (warm, warm_stats) = solve(&m, Search::Seeded(&cold.columns)).unwrap();
+        assert_eq!(warm.columns, cold.columns);
+        assert!(
+            warm_stats.nodes <= cold_stats.nodes,
+            "{warm_stats:?} vs {cold_stats:?}"
+        );
+    }
+
     #[test]
     fn seeded_solve_ignores_invalid_seed() {
         let mut m = CoverMatrix::new(2);
@@ -1656,6 +1661,18 @@ mod tests {
                     prop_assert_eq!(&warm.columns, &cold.columns);
                     prop_assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
                 }
+            }
+        }
+
+        /// Seeding with the optimum itself (the warm case where an edit
+        /// leaves the cover alone) only ever removes search work.
+        #[test]
+        fn optimal_seed_visits_no_more_nodes(m in random_instance()) {
+            if let Ok((cold, cold_stats)) = solve(&m, Search::Exact) {
+                let (warm, warm_stats) = solve(&m, Search::Seeded(&cold.columns)).unwrap();
+                prop_assert_eq!(&warm.columns, &cold.columns);
+                prop_assert!(warm_stats.nodes <= cold_stats.nodes,
+                    "seeded {} nodes vs cold {}", warm_stats.nodes, cold_stats.nodes);
             }
         }
     }

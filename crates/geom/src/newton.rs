@@ -20,6 +20,13 @@
 //! tries the kinks the smoothing rounds off — a hub exactly on an anchor,
 //! a collapsed trunk — and keeps whichever is cheaper under the true
 //! objective.
+//!
+//! Given a cutoff, the kernel also stops early: after every Newton step
+//! it moves the iterate onto the kinks within `10·ε`, builds a
+//! convexity certificate — a lower bound on `min f` from a subgradient
+//! there, taken over the anchors' bounding box (see
+//! `HubObjective::certificate`) — and returns as soon as that bound
+//! reaches the cutoff.
 
 use crate::{Aabb, Point2};
 
@@ -40,6 +47,8 @@ const ARMIJO: f64 = 1e-4;
 const DECREMENT_TOL: f64 = 1e-15;
 /// Kink snap radius, relative to the problem extent.
 const SNAP_RADIUS: f64 = 1e-6;
+/// Certificate snap radius, in units of the stage's smoothing ε.
+const CERT_RADIUS: f64 = 10.0;
 
 /// Hub `h` is pulled toward the weighted anchors `pulls[h]` (a star uses
 /// only the first slot); with two hubs a trunk of weight `trunk` joins
@@ -60,6 +69,10 @@ pub(crate) struct Placement {
     pub capped: bool,
     /// Newton-decrement gap estimate `λ²/2` when the last stage stopped.
     pub decrement: f64,
+    /// A certified lower bound on `min f`, at or above the cutoff, when
+    /// the solve stopped early (`hubs` are then the current iterate, not
+    /// the optimum).
+    pub certified: Option<f64>,
 }
 
 /// One smoothed term `w·sqrt(‖d‖² + ε²)`: value, gradient in `d`, and
@@ -132,17 +145,19 @@ impl HubObjective<'_> {
         (f, g, hess)
     }
 
-    fn minimize(&self) -> Placement {
+    fn minimize(&self, cutoff: Option<f64>) -> Placement {
         let n = 2 * self.hubs;
         let bb = Aabb::from_points(self.anchors().map(|a| a.0)).expect("hub problems have anchors");
         // Work in a frame centered on the anchors, so ε stays well above
         // the coordinates' round-off.
         let (origin, scale) = (bb.center(), bb.width().max(bb.height()));
+        let bounds = [bb.min - origin, bb.max - origin];
         let mut out = Placement {
             hubs: [origin; 2],
             steps: 0,
             capped: false,
             decrement: 0.0,
+            certified: None,
         };
         if scale == 0.0 {
             // Every anchor coincides: that point is optimal for every hub.
@@ -179,6 +194,14 @@ impl HubObjective<'_> {
                 };
                 x = next;
                 out.steps += 1;
+                if let Some(cutoff) = cutoff {
+                    let cert = self.certificate(&x, origin, CERT_RADIUS * eps, bounds);
+                    if cert >= cutoff {
+                        out.certified = Some(cert);
+                        out.hubs = [x[0] + origin, x[1] + origin];
+                        return out;
+                    }
+                }
             }
             out.capped |= !converged;
             eps *= EPS_SHRINK;
@@ -187,21 +210,80 @@ impl HubObjective<'_> {
         out
     }
 
+    /// A lower bound on `min f` from the iterate `x` (frame centered on
+    /// `o`). `x` first moves onto the kinks within `radius`: two hubs
+    /// that close merge at their midpoint, and a hub that close to one
+    /// of its anchors moves onto it (a merged pair onto any anchor).
+    /// At that point `y` the subdifferential of `f` holds `s + v`, with
+    /// `s` the gradient of the smooth terms, `v` any vector in the ball
+    /// of radius `Σw` of the anchors a hub sits on, and, for a collapsed
+    /// trunk, any `(u, −u)` with `‖u‖ ≤ q`; a near-min-norm choice of
+    /// those gives `g`. Convexity gives `f(z) ≥ f(y) + g·(z − y)`, and the
+    /// anchors' bounding box `[lo, hi]` holds a minimizer (clamping both
+    /// hubs into it moves neither away from any anchor nor from the
+    /// other hub), so
+    ///
+    /// ```text
+    /// min f ≥ f(y) − Σ_j |g_j|·(g_j > 0 ? y_j − lo_j : hi_j − y_j).
+    /// ```
+    fn certificate(&self, x: &[Point2; 2], o: Point2, radius: f64, [lo, hi]: [Point2; 2]) -> f64 {
+        let collapsed = self.hubs == 2 && (x[0] - x[1]).len() <= radius;
+        let mut y = *x;
+        if collapsed {
+            let m = nearest_anchor(self.anchors(), x[0].midpoint(x[1]), o, radius);
+            y = [m, m];
+        } else {
+            for h in 0..self.hubs {
+                y[h] = nearest_anchor(self.pulls[h].iter(), x[h], o, radius);
+            }
+        }
+        // True value, smooth gradient `s` and kink ball radius per hub.
+        let mut f = 0.0;
+        let mut s = [Point2::ORIGIN; 2];
+        let mut ball = [0.0; 2];
+        for h in 0..self.hubs {
+            for &(p, w) in self.pulls[h] {
+                let d = y[h] - (p - o);
+                let r = d.len();
+                f += w * r;
+                if r > 0.0 {
+                    s[h] = s[h] + d * (w / r);
+                } else {
+                    ball[h] += w;
+                }
+            }
+        }
+        let mut g = [shrink(s[0], ball[0]), shrink(s[1], ball[1])];
+        if collapsed {
+            // Alternate the trunk's `u` (the best split of `s₀ + v₀` and
+            // `s₁ + v₁` given the balls' `v`) and the balls' shrink.
+            let mut v = [Point2::ORIGIN; 2];
+            for _ in 0..2 {
+                let u = clip((s[1] + v[1] - s[0] - v[0]) * 0.5, self.trunk);
+                let (a, b) = (s[0] + u, s[1] - u);
+                g = [shrink(a, ball[0]), shrink(b, ball[1])];
+                v = [g[0] - a, g[1] - b];
+            }
+        } else if self.hubs == 2 {
+            let d = y[0] - y[1];
+            let r = d.len();
+            f += self.trunk * r;
+            let t = d * (self.trunk / r);
+            g = [shrink(s[0] + t, ball[0]), shrink(s[1] - t, ball[1])];
+        }
+        let slack =
+            |g: f64, y: f64, lo: f64, hi: f64| if g > 0.0 { g * (y - lo) } else { -g * (hi - y) };
+        (0..self.hubs).fold(f, |c, h| {
+            c - slack(g[h].x, y[h].x, lo.x, hi.x) - slack(g[h].y, y[h].y, lo.y, hi.y)
+        })
+    }
+
     /// The cheapest, under the true objective, of `x` and the kinks
     /// within `radius` of it: each hub on its nearest anchor, and (two
     /// hubs) the collapsed trunk, bare or on an anchor. Ties go to the
     /// kink.
     fn snap(&self, x: [Point2; 2], radius: f64) -> [Point2; 2] {
-        let near = |m: Point2| {
-            let mut best = (radius, m);
-            for &(p, _) in self.anchors() {
-                let d = (p - m).len();
-                if d <= best.0 {
-                    best = (d, p);
-                }
-            }
-            best.1
-        };
+        let near = |m| nearest_anchor(self.anchors(), m, Point2::ORIGIN, radius);
         let (a, b) = (near(x[0]), near(x[1]));
         let mid = x[0].midpoint(x[1]);
         let m = near(mid);
@@ -248,10 +330,50 @@ fn newton_direction(hess: &[[f64; 4]; 4], g: &[f64; 4], n: usize) -> [f64; 4] {
     y
 }
 
+/// The anchor nearest to `m` within `radius`, in the frame centered on
+/// `o` (`m` itself when none is that close; ties go to the later anchor).
+fn nearest_anchor<'a>(
+    anchors: impl Iterator<Item = &'a (Point2, f64)>,
+    m: Point2,
+    o: Point2,
+    radius: f64,
+) -> Point2 {
+    let mut best = (radius, m);
+    for &(p, _) in anchors {
+        let d = (p - o - m).len();
+        if d <= best.0 {
+            best = (d, p - o);
+        }
+    }
+    best.1
+}
+
+/// `v` moved toward the origin by `r` (the origin when `‖v‖ ≤ r`): the
+/// smallest vector in `v` plus the ball of radius `r`.
+fn shrink(v: Point2, r: f64) -> Point2 {
+    v - clip(v, r)
+}
+
+/// `v` clipped to the ball of radius `r`.
+fn clip(v: Point2, r: f64) -> Point2 {
+    let n = v.len();
+    if n <= r {
+        v
+    } else {
+        v * (r / n)
+    }
+}
+
 /// Minimizes the objective of hubs pulled toward `pulls[h]` (one or two
-/// `hubs`, the second joined by a trunk of weight `trunk`).
-pub(crate) fn minimize(pulls: [&[(Point2, f64)]; 2], hubs: usize, trunk: f64) -> Placement {
-    HubObjective { pulls, hubs, trunk }.minimize()
+/// `hubs`, the second joined by a trunk of weight `trunk`), stopping
+/// early once a certified lower bound on the optimum reaches `cutoff`.
+pub(crate) fn minimize(
+    pulls: [&[(Point2, f64)]; 2],
+    hubs: usize,
+    trunk: f64,
+    cutoff: Option<f64>,
+) -> Placement {
+    HubObjective { pulls, hubs, trunk }.minimize(cutoff)
 }
 
 /// Weighted centroid of `pts` (the first point when every weight is

@@ -16,7 +16,9 @@
 //! *exactly*; Chebyshev reduces to Manhattan by a 45° rotation. The
 //! Euclidean case runs the crate's smoothed-Newton kernel (`newton.rs`)
 //! on both hubs at once (a 4×4 system), then snaps onto the kinks — a
-//! hub on an anchor, a collapsed trunk.
+//! hub on an anchor, a collapsed trunk. With a
+//! [cutoff](TwoHubProblem::with_cutoff) the kernel stops as soon as it
+//! certifies that the optimum reaches it.
 
 use crate::norm::SeparableFrame;
 use crate::{Norm, Point2};
@@ -52,6 +54,7 @@ pub struct TwoHubProblem {
     sources: Vec<(Point2, f64)>,
     sinks: Vec<(Point2, f64)>,
     trunk_weight: f64,
+    cutoff: Option<f64>,
 }
 
 /// The result of a [`TwoHubProblem::solve`] call.
@@ -67,11 +70,17 @@ pub struct TwoHubSolution {
     pub iterations: usize,
     /// The final Newton decrement, as the predicted objective gap `λ²/2`
     /// of the last smoothing stage (0 for the exact breakpoint solvers,
-    /// which have none).
+    /// which have none; for a [certified](Self::certified) early exit,
+    /// the decrement of the step it stopped after).
     pub residual: f64,
     /// Whether a smoothing stage stopped at its step cap unconverged
     /// (always `false` for the exact solvers).
     pub capped: bool,
+    /// A certified lower bound on the optimal objective, at or above the
+    /// [cutoff](TwoHubProblem::with_cutoff), when the solve stopped
+    /// early. The hubs are then the solver's iterate, not the optimum.
+    /// Always `None` for the exact solvers.
+    pub certified: Option<f64>,
 }
 
 impl TwoHubProblem {
@@ -100,7 +109,17 @@ impl TwoHubProblem {
             sources,
             sinks,
             trunk_weight,
+            cutoff: None,
         }
+    }
+
+    /// Lets the Euclidean solve stop early once it proves the optimal
+    /// objective is at least `cutoff` (reported in
+    /// [`TwoHubSolution::certified`]). The exact separable solvers
+    /// ignore it.
+    pub fn with_cutoff(mut self, cutoff: f64) -> Self {
+        self.cutoff = Some(cutoff);
+        self
     }
 
     /// The weighted source terminals.
@@ -134,14 +153,20 @@ impl TwoHubProblem {
     /// enumeration); the Euclidean solution is the joint smoothed-Newton
     /// optimum, within [`f64`] round-off of the global one.
     pub fn solve(&self, norm: Norm) -> TwoHubSolution {
-        let ([hub_a, hub_b], iterations, residual, capped) = match norm.separable_frame() {
-            Some(frame) => (self.solve_separable(frame), 0, 0.0, false),
+        let ([hub_a, hub_b], iterations, residual, capped, certified) = match norm.separable_frame()
+        {
+            Some(frame) => (self.solve_separable(frame), 0, 0.0, false, None),
             // The objective is jointly convex in (hub_a, hub_b) — every
             // term is a nonnegative multiple of a norm of an affine
             // expression — so one start reaches the global optimum.
             None => {
-                let p = crate::newton::minimize([&self.sources, &self.sinks], 2, self.trunk_weight);
-                (p.hubs, p.steps, p.decrement, p.capped)
+                let p = crate::newton::minimize(
+                    [&self.sources, &self.sinks],
+                    2,
+                    self.trunk_weight,
+                    self.cutoff,
+                );
+                (p.hubs, p.steps, p.decrement, p.capped, p.certified)
             }
         };
         TwoHubSolution {
@@ -151,6 +176,7 @@ impl TwoHubProblem {
             iterations,
             residual,
             capped,
+            certified,
         }
     }
 
@@ -198,6 +224,7 @@ fn solve_1d(sources: &[(f64, f64)], sinks: &[(f64, f64)], q: f64) -> (f64, f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weber::WeberProblem;
     use proptest::prelude::*;
 
     #[test]
@@ -352,6 +379,37 @@ mod tests {
             let sol = p.solve(Norm::Euclidean);
             let recomputed = p.cost(sol.hub_a, sol.hub_b, Norm::Euclidean);
             prop_assert!((sol.cost - recomputed).abs() < 1e-9);
+        }
+
+        /// A certificate never overstates the optimum: with a cutoff
+        /// anywhere around the optimal cost, an early exit reports a
+        /// bound at or above the cutoff and at or below the full solve's
+        /// cost, and a solve that does not stop early is the full solve.
+        #[test]
+        fn certificate_bounds_the_optimum(
+            sources in terminals(6),
+            sinks in terminals(6),
+            trunk in 0.0..8.0f64,
+            frac in 0.5..1.01f64,
+        ) {
+            let p = TwoHubProblem::new(sources, sinks, trunk);
+            let full = p.solve(Norm::Euclidean);
+            prop_assert!(full.certified.is_none());
+            let cut = p.clone().with_cutoff(full.cost * frac).solve(Norm::Euclidean);
+            match cut.certified {
+                Some(c) => {
+                    prop_assert!(c >= full.cost * frac);
+                    prop_assert!(c <= full.cost * (1.0 + 1e-12), "cert {c} > optimum {}", full.cost);
+                }
+                None => prop_assert_eq!(cut, full),
+            }
+            let star = WeberProblem::new(p.sources().iter().chain(p.sinks()).copied().collect());
+            let hub = star.solve(Norm::Euclidean);
+            let opt = star.cost(hub, Norm::Euclidean);
+            let cut = star.with_cutoff(opt * frac).solve_detailed(Norm::Euclidean);
+            if let Some(c) = cut.certified {
+                prop_assert!(c >= opt * frac && c <= opt * (1.0 + 1e-12), "cert {c} vs optimum {opt}");
+            }
         }
 
         /// Manhattan: the exact solver is never worse than alternating

@@ -38,6 +38,7 @@ use crate::{Aabb, Norm, Point2};
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeberProblem {
     anchors: Vec<(Point2, f64)>,
+    cutoff: Option<f64>,
 }
 
 /// The result of a [`WeberProblem::solve_detailed`] call.
@@ -49,6 +50,11 @@ pub struct WeberSolution {
     pub iterations: usize,
     /// Whether a smoothing stage stopped at its step cap unconverged.
     pub capped: bool,
+    /// A certified lower bound on the optimal objective, at or above the
+    /// [cutoff](WeberProblem::with_cutoff), when the solve stopped
+    /// early. The hub is then the solver's iterate, not the optimum.
+    /// Always `None` for the exact solvers.
+    pub certified: Option<f64>,
 }
 
 impl WeberProblem {
@@ -67,7 +73,19 @@ impl WeberProblem {
             assert!(p.is_finite(), "non-finite anchor position {p}");
             assert!(w.is_finite() && w >= 0.0, "invalid anchor weight {w}");
         }
-        WeberProblem { anchors }
+        WeberProblem {
+            anchors,
+            cutoff: None,
+        }
+    }
+
+    /// Lets the Euclidean solve stop early once it proves the optimal
+    /// objective is at least `cutoff` (reported in
+    /// [`WeberSolution::certified`]). The exact separable solvers
+    /// ignore it.
+    pub fn with_cutoff(mut self, cutoff: f64) -> Self {
+        self.cutoff = Some(cutoff);
+        self
     }
 
     /// The `(position, weight)` anchors of the problem.
@@ -94,17 +112,18 @@ impl WeberProblem {
 
     /// [`solve`](Self::solve), also reporting the solver's work.
     pub fn solve_detailed(&self, norm: Norm) -> WeberSolution {
-        let (hub, iterations, capped) = match norm.separable_frame() {
-            Some(frame) => (self.solve_separable(frame), 0, false),
+        let (hub, iterations, capped, certified) = match norm.separable_frame() {
+            Some(frame) => (self.solve_separable(frame), 0, false, None),
             None => {
-                let p = crate::newton::minimize([&self.anchors, &[]], 1, 0.0);
-                (p.hubs[0], p.steps, p.capped)
+                let p = crate::newton::minimize([&self.anchors, &[]], 1, 0.0, self.cutoff);
+                (p.hubs[0], p.steps, p.capped, p.certified)
             }
         };
         WeberSolution {
             hub,
             iterations,
             capped,
+            certified,
         }
     }
 

@@ -120,9 +120,10 @@ parallelism:
 
 performance:
   --no-lb-gate         disable the lower-bound gate that skips hub-placement
-                       solves for provably dominated merge subsets (results
-                       are identical either way; the flag exists to measure
-                       the gate and to debug it)
+                       solves for provably dominated merge subsets, and the
+                       placement kernel's certified early exit for the rest
+                       (results are identical either way; the flag exists
+                       to measure both and to debug them)
 
 incremental re-synthesis (ccs resynth):
   --edit SPEC          an edit to apply before the warm re-synthesis

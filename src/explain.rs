@@ -185,6 +185,10 @@ fn describe(e: &DecisionEvent) -> String {
                 .find(|t| !t.contains('='))
                 .unwrap_or("unknown reason")
         ),
+        Cause::PlacementDominated if e.detail_tag("via") == Some("kernel") => format!(
+            "placement.dominated{k}: the placement kernel certified a lower bound {:.4} at or above the members' sum {:.4}, solve stopped early",
+            e.cost, e.bound
+        ),
         Cause::PlacementDominated => format!(
             "placement.dominated{k}: merged cost {:.4} did not beat the members' sum {:.4}",
             e.cost, e.bound

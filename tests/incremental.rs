@@ -265,3 +265,61 @@ fn library_swap_invalidates_everything() {
     let ledger = obs.take_ledger().expect("ledger");
     assert!(ledger.cause(Cause::ResynthInvalidated).count > 0);
 }
+
+/// A warm run whose edit leaves most subsets clean reuses the verdicts
+/// the placement kernel certified in the cold fill, and still lands
+/// exactly where a cold run on the edited instance lands — the same
+/// topology bytes and the same placement accounting.
+#[test]
+fn warm_run_reusing_certified_verdicts_matches_cold() {
+    let cfg = ClusteredWanConfig {
+        seed: 42,
+        channels: 12,
+        ..ClusteredWanConfig::default()
+    };
+    let mut config = session_config(2);
+    config.merge.max_k = Some(4);
+    let obs = RequestObs::new(None, Some(4096));
+    let guard = scope::enter(obs.clone());
+    let mut session =
+        SynthesisSession::new(clustered_wan(&cfg), wan::paper_library(), config.clone());
+    let fill = session.resynthesize(&[]).expect("cold fill");
+    assert!(
+        fill.stats.lb_certified > 0,
+        "the kernel certifies on this WAN"
+    );
+    let edit = Edit::ArcRate {
+        arc: 2,
+        bandwidth: Bandwidth::from_mbps(25.0),
+    };
+    let warm = session.resynthesize(&[edit]).expect("warm edit");
+    drop(guard);
+    let ledger = obs.take_ledger().expect("scoped ledger collected");
+    assert!(
+        ledger
+            .cause(Cause::ResynthReused)
+            .events()
+            .any(|e| e.detail_tag("via") == Some("kernel")),
+        "the warm run reuses a certified verdict"
+    );
+
+    let cold = Synthesizer::new(session.graph(), session.library())
+        .with_config(config)
+        .run()
+        .expect("cold run");
+    let render = |r: &ccs::core::synthesis::SynthesisResult| {
+        let mut out = String::new();
+        topology_json(r, session.graph(), session.library()).write_pretty(&mut out, 0);
+        out
+    };
+    assert_eq!(render(&warm), render(&cold));
+    assert_eq!(warm.candidates, cold.candidates);
+    for (w, c) in [
+        (warm.stats.lb_certified, cold.stats.lb_certified),
+        (warm.stats.lb_gated, cold.stats.lb_gated),
+        (warm.stats.dominated_dropped, cold.stats.dominated_dropped),
+        (warm.stats.infeasible_merges, cold.stats.infeasible_merges),
+    ] {
+        assert_eq!(w, c);
+    }
+}

@@ -1,13 +1,21 @@
-//! Property: the lower-bound gate (`MergeConfig::lb_gate`) is a pure
-//! optimization. For any instance, running with the gate on and off
+//! Property: the lower-bound gate (`MergeConfig::lb_gate`) and the
+//! placement kernel's certified early exit that rides on it are pure
+//! optimizations. For any instance, running with the gate on and off
 //! must produce the identical selected cover, identical total cost
 //! (to the last f64 bit), and a byte-identical `ccs-topology-v1`
 //! document. The gate may only skip placement solves whose outcome
 //! (infeasible or dominated) cannot change the candidate pool the
-//! covering step sees.
+//! covering step sees, and the certificate only solves whose outcome
+//! is dominated.
 
 use ccs::core::constraint::ConstraintGraph;
 use ccs::core::library::{soc_paper_library, wan_paper_library, Library, Link, NodeKind};
+use ccs::core::matrices::DistanceMatrices;
+use ccs::core::merging::{enumerate_with, MergeConfig};
+use ccs::core::placement::{
+    merge_candidate_explained, merge_cost_lower_bound, point_to_point_candidate, price_merge,
+    MergePricing, PlacementCache,
+};
 use ccs::core::report::topology_json;
 use ccs::core::synthesis::{SynthesisConfig, SynthesisResult, Synthesizer};
 use ccs::core::units::Bandwidth;
@@ -52,6 +60,9 @@ fn assert_gate_invariant(g: &ConstraintGraph, lib: &Library) -> (SynthesisResult
     );
     assert_eq!(ungated.stats.lb_gated, 0);
     assert_eq!(ungated.stats.solves_skipped, 0);
+    // Certified subsets are dominated ones that skipped the full solve.
+    assert!(gated.stats.lb_certified <= gated.stats.dominated_dropped);
+    assert_eq!(ungated.stats.lb_certified, 0);
 
     let render = |r: &SynthesisResult| {
         let mut out = String::new();
@@ -62,6 +73,90 @@ fn assert_gate_invariant(g: &ConstraintGraph, lib: &Library) -> (SynthesisResult
     assert_eq!(doc, render(&ungated));
     assert!(doc.contains("ccs-topology-v1"));
     (gated, ungated)
+}
+
+/// Prices every surviving merge subset of `g` both ways through the
+/// public API: [`price_merge`], the pipeline's path, and the bound
+/// followed by a full [`merge_candidate_explained`] solve. A certified
+/// subset must be one the full solve drops as dominated, and a subset
+/// priced in full must get the same result. Returns how many subsets
+/// the kernel certified.
+fn assert_certificate_exact(g: &ConstraintGraph, lib: &Library) -> usize {
+    let exec = ccs::exec::Executor::serial();
+    let matrices = DistanceMatrices::compute(g);
+    let merges = enumerate_with(g, lib, &matrices, &MergeConfig::default(), &exec);
+    let p2p: Vec<f64> = (0..g.arc_count())
+        .map(|i| point_to_point_candidate(g, lib, i).unwrap().cost)
+        .collect();
+    let cache = PlacementCache::new();
+    let mut certified = 0;
+    for s in merges.all_subsets() {
+        let threshold = s.iter().map(|&i| p2p[i]).sum::<f64>() * (1.0 - 1e-6) - 1e-12;
+        let priced = price_merge(g, lib, s, &cache, threshold).unwrap();
+        if let MergePricing::Gated { lb } = priced {
+            assert_eq!(
+                lb.to_bits(),
+                merge_cost_lower_bound(g, lib, s, &cache).to_bits()
+            );
+            continue;
+        }
+        let full = merge_candidate_explained(g, lib, s, &cache).unwrap();
+        match priced {
+            MergePricing::Certified { lb } => {
+                certified += 1;
+                let c = full.expect("a certified subset is feasible");
+                assert!(
+                    c.cost >= threshold,
+                    "{s:?}: certified {lb}, solved {}",
+                    c.cost
+                );
+                assert!(lb >= threshold && lb <= c.cost, "{s:?}: {lb} vs {}", c.cost);
+            }
+            MergePricing::Solved(r) => assert_eq!(r, full, "{s:?}"),
+            MergePricing::Gated { .. } => unreachable!(),
+        }
+    }
+    certified
+}
+
+/// Two hundred seeded clustered WANs under every norm, priced with the
+/// paper library, the capped library and its switch-only variant: the
+/// pipeline with the gate and the certificate is result-identical to
+/// the plain solve, and every subset the certificate drops is one the
+/// full solve drops as dominated.
+#[test]
+fn certificate_is_result_invariant_on_seeded_wans() {
+    let libraries = [
+        wan_paper_library(),
+        capped_library(true),
+        capped_library(false),
+    ];
+    let mut certified = [0usize; 3];
+    for seed in 0..200u64 {
+        let cfg = ClusteredWanConfig {
+            clusters: 2 + (seed % 2) as usize,
+            channels: 5 + (seed % 4) as usize,
+            seed: 4000 + seed,
+            ..ClusteredWanConfig::default()
+        };
+        let g = clustered_wan(&cfg);
+        for norm in Norm::ALL {
+            let g = with_norm(&g, norm);
+            for (n, lib) in certified.iter_mut().zip(&libraries) {
+                let (gated, _) = assert_gate_invariant(&g, lib);
+                let exact = assert_certificate_exact(&g, lib);
+                assert_eq!(gated.stats.lb_certified, exact);
+                if norm != Norm::Euclidean {
+                    assert_eq!(exact, 0, "only the Euclidean kernel certifies");
+                }
+                *n += exact;
+            }
+        }
+    }
+    assert!(
+        certified.iter().all(|&n| n > 0),
+        "certified per library: {certified:?}"
+    );
 }
 
 /// A library whose placement weights overstate every cost floor

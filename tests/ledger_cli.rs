@@ -202,3 +202,58 @@ fn diff_flags_a_real_divergence_and_rejects_bad_input() {
     assert!(run("diff only-one.json").is_err());
     assert!(run(&format!("diff {} /nonexistent.json", a.display())).is_err());
 }
+
+/// Subsets the placement kernel certifies as dominated are recorded as
+/// `placement.dominated` with the certified bound and a `via=kernel`
+/// detail, identically at every thread count, and `ccs explain` says
+/// how the subset was decided.
+#[test]
+fn kernel_certified_merges_are_recorded_and_explained() {
+    let _guard = LEDGER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (inst, lib) = wan_files("certified");
+    let mut certified = Vec::new();
+    let mut texts = Vec::new();
+    for threads in [1, 4] {
+        let ledger = inst.with_file_name(format!("cert-{threads}.ledger.json"));
+        let metrics = inst.with_file_name(format!("cert-{threads}.metrics.json"));
+        run(&format!(
+            "synth --instance {} --library {} --threads {threads} --ledger {} --metrics-json {}",
+            inst.display(),
+            lib.display(),
+            ledger.display(),
+            metrics.display()
+        ))
+        .unwrap();
+        let m = ccs::obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let count = m
+            .get("counters")
+            .and_then(|c| c.get("placement.lb_certified"))
+            .and_then(Value::as_num)
+            .expect("placement.lb_certified is exported");
+        certified.push(count);
+        texts.push(std::fs::read_to_string(&ledger).unwrap());
+    }
+    assert!(
+        certified[0] > 0.0,
+        "the certificate fires on a clustered WAN"
+    );
+    assert_eq!(certified[0], certified[1]);
+    assert_eq!(texts[0], texts[1]);
+
+    let ledger = Ledger::from_json(&ccs::obs::json::parse(&texts[0]).unwrap()).unwrap();
+    let dominated = ledger.cause(Cause::PlacementDominated);
+    assert!(dominated.count as f64 >= certified[0]);
+    let event = dominated
+        .events()
+        .find(|e| e.detail_tag("via") == Some("kernel"))
+        .expect("a sampled certified subset");
+    assert!(event.cost >= event.bound * (1.0 - 1e-6), "{event:?}");
+    let arcs: Vec<String> = event.arcs.iter().map(u32::to_string).collect();
+    let out = run(&format!(
+        "explain --ledger {} --candidate {}",
+        inst.with_file_name("cert-1.ledger.json").display(),
+        arcs.join(",")
+    ))
+    .unwrap();
+    assert!(out.contains("placement kernel certified"), "{out}");
+}

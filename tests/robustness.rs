@@ -263,3 +263,129 @@ fn overflowing_port_move_is_rejected_and_session_survives() {
     assert_eq!(after.selected, before.selected);
     assert_eq!(after.total_cost().to_bits(), before.total_cost().to_bits());
 }
+
+/// The paper WAN under the Manhattan norm with `B.in_a1` moved to
+/// `(1e307, 0)`: every distance stays finite, but arc a1's cheapest
+/// plan costs more than an `f64` holds.
+fn overflowing_cost_instance() -> String {
+    let text = manhattan_wan_text();
+    let moved = text.replace("port B.in_a1 5 0\n", "port B.in_a1 1e307 0\n");
+    assert_ne!(moved, text, "the instance text changed its format");
+    moved
+}
+
+fn manhattan_wan_text() -> String {
+    ccs::gen::io::instance_to_string(&wan::paper_instance())
+        .replace("norm euclidean", "norm manhattan")
+}
+
+#[test]
+fn overflowing_cost_is_a_cli_error() {
+    let dir = std::env::temp_dir().join(format!("ccs-robustness-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (inst, lib) = (dir.join("huge.ccs"), dir.join("lib.ccs"));
+    std::fs::write(&inst, overflowing_cost_instance()).unwrap();
+    std::fs::write(&lib, ccs::gen::io::library_to_string(&wan::paper_library())).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccs"))
+        .arg("synth")
+        .arg("--instance")
+        .arg(&inst)
+        .arg("--library")
+        .arg(&lib)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("arc a1 has no finite-cost implementation"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn overflowing_cost_edit_errors_and_session_survives() {
+    let g = ccs::gen::io::instance_from_str(&manhattan_wan_text()).unwrap();
+    let lib = wan::paper_library();
+    let mut session = SynthesisSession::new(g.clone(), lib.clone(), SynthesisConfig::default());
+    session.resynthesize(&[]).expect("cold fill");
+    let port = |s: &SynthesisSession| s.graph().port(PortId(1)).clone();
+    let home = port(&session);
+    let err = session
+        .resynthesize(&[Edit::MovePort {
+            port: home.name.clone(),
+            position: Point2::new(1e307, 0.0),
+        }])
+        .expect_err("cost overflows");
+    assert_eq!(err, SynthesisError::NonFiniteCost(ArcId(0)));
+    // Moving the port back re-synthesizes exactly like a cold run.
+    let warm = session
+        .resynthesize(&[Edit::MovePort {
+            port: home.name.clone(),
+            position: home.position,
+        }])
+        .expect("session still usable");
+    let cold = Synthesizer::new(&g, &lib).run().expect("cold run");
+    assert_eq!(warm.selected, cold.selected);
+    assert_eq!(warm.total_cost().to_bits(), cold.total_cost().to_bits());
+}
+
+#[test]
+fn overflowing_cost_request_errors_and_serve_keeps_serving() {
+    use ccs::obs::json::{self, Value};
+    use ccs::serve::{ServeConfig, Server, REQUEST_SCHEMA};
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = Server::bind(ServeConfig {
+        listen: Some("127.0.0.1:0".to_string()),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+    let library = ccs::gen::io::library_to_string(&wan::paper_library());
+    let line = |id: &str, kind: &str, instance: Option<String>| {
+        let mut obj = std::collections::BTreeMap::new();
+        obj.insert("schema".to_string(), Value::Str(REQUEST_SCHEMA.to_string()));
+        obj.insert("id".to_string(), Value::Str(id.to_string()));
+        obj.insert("kind".to_string(), Value::Str(kind.to_string()));
+        if let Some(instance) = instance {
+            obj.insert("instance".to_string(), Value::Str(instance));
+            obj.insert("library".to_string(), Value::Str(library.clone()));
+        }
+        let mut s = String::new();
+        Value::Obj(obj).write_compact(&mut s);
+        s
+    };
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // Both requests queue behind the one worker.
+    let bad = Some(overflowing_cost_instance());
+    writeln!(writer, "{}", line("bad", "synth", bad)).unwrap();
+    let good = Some(ccs::gen::io::instance_to_string(&wan::paper_instance()));
+    writeln!(writer, "{}", line("good", "synth", good)).unwrap();
+    let mut responses = std::collections::BTreeMap::new();
+    for _ in 0..2 {
+        let mut buf = String::new();
+        assert!(reader.read_line(&mut buf).unwrap() > 0, "peer closed");
+        let v = json::parse(buf.trim_end()).unwrap();
+        let id = v.get("id").and_then(Value::as_str).unwrap().to_string();
+        responses.insert(id, v);
+    }
+    let status = |id: &str| responses[id].get("status").and_then(Value::as_str).unwrap();
+    assert_eq!(status("bad"), "error");
+    let message = responses["bad"]
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap_or("");
+    assert!(
+        message.contains("no finite-cost implementation"),
+        "{message}"
+    );
+    assert_eq!(status("good"), "ok");
+    writeln!(writer, "{}", line("bye", "shutdown", None)).unwrap();
+    let summary = handle.join().unwrap();
+    assert_eq!(summary.errors, 1);
+}
